@@ -18,7 +18,7 @@ import yaml
 from . import discovery, flows, metrics, synth
 from .infrastructure import GraphError, build_graph, propagate_static_impact
 from .kernel import run_replications
-from .scenario import ParseError, ValidationError, load_scenario
+from .scenario import ParseError, ValidationError, load_scenario, read_yaml
 
 _DOMAIN_ERRORS = (
     ParseError,
@@ -181,8 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_bindings(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = read_yaml(path)
     tasks = None
     if isinstance(doc, dict):
         if "mission" in doc and isinstance(doc["mission"], dict):
@@ -195,8 +194,7 @@ def _load_bindings(path: str) -> dict:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        graph_doc = yaml.safe_load(fh)
+    graph_doc = read_yaml(args.graph)
     if isinstance(graph_doc, dict) and "infrastructure" in graph_doc:
         graph_doc = graph_doc["infrastructure"]
     graph = build_graph(graph_doc or {})

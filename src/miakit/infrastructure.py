@@ -2,14 +2,18 @@
 
 Assets (devices, services, applications, end-user nodes, external links)
 are connected by dependency edges pointing from the dependent to the thing
-it relies on.  Each asset carries a time-varying operational state; analyses
-on top of the graph include reverse reachability, static impact propagation
+it relies on.  The structure is a :class:`Topology`, built and validated
+once; each replication works on an :class:`InfrastructureGraph`, a light
+overlay giving every asset a time-varying operational state.  Analyses on
+top of the graph include reverse reachability, static impact propagation
 with witness chains, and a performance factor that composes degradation
-along dependency paths.
+along dependency paths, re-evaluated only where a state change reaches.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
@@ -131,44 +135,119 @@ class StateChange:
     at: float
 
 
-class InfrastructureGraph:
-    """Validated asset/edge collections plus per-asset state and history."""
+class Topology:
+    """The unchanging part of an infrastructure model, validated and indexed once.
 
-    def __init__(self):
+    Holds the assets, edges and vulnerabilities; adjacency both ways; each
+    asset's exploits; each subnet's members; the strongly connected
+    components of the dependency graph in dependency order, with the
+    external inputs of each; and every component's performance when all
+    assets are operational.  Nothing here changes after construction, so
+    any number of replications (and threads) share one topology, each
+    through its own :class:`InfrastructureGraph` overlay.
+    """
+
+    def __init__(
+        self,
+        assets: Iterable[Asset] = (),
+        edges: Iterable[DependencyEdge] = (),
+        vulnerabilities: Iterable[Vulnerability] = (),
+    ):
         self.assets: dict[str, Asset] = {}
         self.edges: list[DependencyEdge] = []
         self.vulnerabilities: list[Vulnerability] = []
-        self.states: dict[str, AssetState] = {}
-        self.history: list[StateChange] = []
-        self.annotations: list[dict] = []
         self._out: dict[str, list[DependencyEdge]] = {}
         self._in: dict[str, list[DependencyEdge]] = {}
+        for asset in assets:
+            if asset.id in self.assets:
+                raise DuplicateId(f"asset id {asset.id!r} declared twice")
+            self.assets[asset.id] = asset
+            self._out[asset.id] = []
+            self._in[asset.id] = []
+        for edge in edges:
+            for endpoint in (edge.from_id, edge.to_id):
+                if endpoint not in self.assets:
+                    raise DanglingReference(f"edge references unknown asset {endpoint!r}")
+            if edge.from_id == edge.to_id:
+                raise SelfLoop(f"asset {edge.from_id!r} cannot depend on itself")
+            self.edges.append(edge)
+            self._out[edge.from_id].append(edge)
+            self._in[edge.to_id].append(edge)
+        exploits: dict[str, set[str]] = {}
+        for vuln in vulnerabilities:
+            if vuln.asset_id not in self.assets:
+                raise DanglingReference(f"vulnerability on unknown asset {vuln.asset_id!r}")
+            self.vulnerabilities.append(vuln)
+            exploits.setdefault(vuln.asset_id, set()).add(vuln.exploit_id)
+        self._exploits = {a: frozenset(x) for a, x in exploits.items()}
+        members: dict[str, set[str]] = {}
+        for asset in self.assets.values():
+            if asset.subnet is not None:
+                members.setdefault(asset.subnet, set()).add(asset.id)
+        self._subnet_members = {s: frozenset(m) for s, m in members.items()}
+        self.end_users = tuple(
+            sorted(a.id for a in self.assets.values() if a.kind == "end_user_node")
+        )
+        self._index_components()
+
+    def _index_components(self) -> None:
+        """Condense the dependency graph: components in dependency order, each
+        one's plan (members, then external inputs as component indices:
+        ungrouped edges singly, any-of groups per source asset), the
+        components relying on each, and the all-operational values."""
+        self.components = [tuple(c) for c in _strongly_connected_components(self)]
+        self._comp_of = {a: i for i, comp in enumerate(self.components) for a in comp}
+        self._plans: list[tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
+        dependents: list[set[int]] = [set() for _ in self.components]
+        for i, comp in enumerate(self.components):
+            singles: list[int] = []
+            groups: list[tuple[int, ...]] = []
+            for a in sorted(comp):
+                grouped: dict[str, list[int]] = {}
+                for edge in self._out[a]:
+                    j = self._comp_of[edge.to_id]
+                    if j == i:
+                        continue  # internal edge, covered by the cycle min rule
+                    dependents[j].add(i)
+                    if edge.group is None:
+                        singles.append(j)
+                    else:
+                        grouped.setdefault(edge.group, []).append(j)
+                groups.extend(tuple(g) for g in grouped.values())
+            self._plans.append((comp, tuple(singles), tuple(groups)))
+        self._comp_dependents = [tuple(sorted(d)) for d in dependents]
+        # NaN equals nothing, so every component gets written.
+        values = [math.nan] * len(self.components)
+        perf: dict[str, float] = {}
+        operational = dict.fromkeys(self.assets, OPERATIONAL)
+        _reevaluate(self, list(range(len(values))), operational, values, perf)
+        self.operational_values = tuple(values)
+        self.operational_perf = perf
+
+
+class InfrastructureGraph:
+    """One replication's state overlay on a shared :class:`Topology`.
+
+    Owns the per-asset states, the history of changes, the change listeners
+    and a performance map that ``set_state`` marks stale and the next read
+    brings up to date.  The structure (``assets``, ``edges``, adjacency) is
+    the topology's own objects, never copied.
+    """
+
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        self.assets = topology.assets
+        self.edges = topology.edges
+        self.vulnerabilities = topology.vulnerabilities
+        self._out = topology._out
+        self._in = topology._in
+        self.states: dict[str, AssetState] = dict.fromkeys(topology.assets, OPERATIONAL)
+        self.history: list[StateChange] = []
+        self.annotations: list[dict] = []
         self._listeners: list[Callable[[StateChange], None]] = []
-
-    # -- construction -------------------------------------------------------
-
-    def _add_asset(self, asset: Asset) -> None:
-        if asset.id in self.assets:
-            raise DuplicateId(f"asset id {asset.id!r} declared twice")
-        self.assets[asset.id] = asset
-        self.states[asset.id] = OPERATIONAL
-        self._out[asset.id] = []
-        self._in[asset.id] = []
-
-    def _add_edge(self, edge: DependencyEdge) -> None:
-        for endpoint in (edge.from_id, edge.to_id):
-            if endpoint not in self.assets:
-                raise DanglingReference(f"edge references unknown asset {endpoint!r}")
-        if edge.from_id == edge.to_id:
-            raise SelfLoop(f"asset {edge.from_id!r} cannot depend on itself")
-        self.edges.append(edge)
-        self._out[edge.from_id].append(edge)
-        self._in[edge.to_id].append(edge)
-
-    def _add_vulnerability(self, vuln: Vulnerability) -> None:
-        if vuln.asset_id not in self.assets:
-            raise DanglingReference(f"vulnerability on unknown asset {vuln.asset_id!r}")
-        self.vulnerabilities.append(vuln)
+        self._values = list(topology.operational_values)
+        self._perf = dict(topology.operational_perf)
+        self._dirty: set[str] = set()
 
     # -- queries ------------------------------------------------------------
 
@@ -187,10 +266,10 @@ class InfrastructureGraph:
         return self._in[asset_id]
 
     def end_user_nodes(self) -> list[str]:
-        return sorted(a.id for a in self.assets.values() if a.kind == "end_user_node")
+        return list(self.topology.end_users)
 
-    def exploits_on(self, asset_id: str) -> set[str]:
-        return {v.exploit_id for v in self.vulnerabilities if v.asset_id == asset_id}
+    def exploits_on(self, asset_id: str) -> frozenset[str]:
+        return self.topology._exploits.get(asset_id, frozenset())
 
     def neighbors(self, asset_id: str) -> set[str]:
         """Adjacency for lateral movement: shared subnet or any edge, either way."""
@@ -198,11 +277,7 @@ class InfrastructureGraph:
         near = {e.to_id for e in self._out[asset_id]}
         near |= {e.from_id for e in self._in[asset_id]}
         if asset.subnet is not None:
-            near |= {
-                a.id
-                for a in self.assets.values()
-                if a.subnet == asset.subnet and a.id != asset_id
-            }
+            near |= self.topology._subnet_members[asset.subnet]
         near.discard(asset_id)
         return near
 
@@ -216,25 +291,63 @@ class InfrastructureGraph:
         return self.states[asset_id]
 
 
-def build_graph(spec: Mapping) -> InfrastructureGraph:
-    """Build and validate a graph from its structured description.
+def _reevaluate(
+    topology: Topology,
+    pending: list[int],
+    states: Mapping[str, AssetState],
+    values: list[float],
+    perf: dict[str, float],
+) -> None:
+    """Evaluate the components in ``pending`` (ascending indices) and then,
+    in dependency order, every dependent of a component whose value moved.
+
+    A component's value is the min of its members' own-state factors,
+    scaled by its worst external input: an ungrouped edge contributes its
+    target's value, an any-of group the best of its targets' values.
+    ``values`` holds one value per component and ``perf`` one per asset.
+    """
+    plans, dependents = topology._plans, topology._comp_dependents
+    queued = set(pending)
+    while pending:
+        i = heapq.heappop(pending)
+        members, singles, groups = plans[i]
+        if len(members) == 1:
+            own = states[members[0]].own_factor()
+        else:
+            own = min([states[a].own_factor() for a in members])
+        contributions = [values[j] for j in singles]
+        for group in groups:
+            contributions.append(max([values[j] for j in group]))
+        value = own * (min(contributions) if contributions else 1.0)
+        if value == values[i]:
+            continue
+        values[i] = value
+        for member in members:
+            perf[member] = value
+        for j in dependents[i]:
+            if j not in queued:
+                queued.add(j)
+                heapq.heappush(pending, j)
+
+
+def build_topology(spec: Mapping) -> Topology:
+    """Build and validate a topology from its structured description.
 
     ``spec`` mirrors the ``infrastructure`` section of a scenario document:
     ``assets`` (id/kind/name/subnet), ``edges`` (from/to/kind/weight/group)
-    and ``vulnerabilities`` (asset/exploit).  All assets start operational.
+    and ``vulnerabilities`` (asset/exploit).
     """
-    graph = InfrastructureGraph()
-    for entry in spec.get("assets", []) or []:
-        graph._add_asset(
+    return Topology(
+        (
             Asset(
                 id=str(entry["id"]),
                 kind=str(entry.get("kind", "device")),
                 name=str(entry.get("name", entry["id"])),
                 subnet=entry.get("subnet"),
             )
-        )
-    for entry in spec.get("edges", []) or []:
-        graph._add_edge(
+            for entry in spec.get("assets", []) or []
+        ),
+        (
             DependencyEdge(
                 from_id=str(entry["from"]),
                 to_id=str(entry["to"]),
@@ -242,12 +355,19 @@ def build_graph(spec: Mapping) -> InfrastructureGraph:
                 weight=float(entry.get("weight", 1.0)),
                 group=entry.get("group"),
             )
-        )
-    for entry in spec.get("vulnerabilities", []) or []:
-        graph._add_vulnerability(
+            for entry in spec.get("edges", []) or []
+        ),
+        (
             Vulnerability(asset_id=str(entry["asset"]), exploit_id=str(entry["exploit"]))
-        )
-    return graph
+            for entry in spec.get("vulnerabilities", []) or []
+        ),
+    )
+
+
+def build_graph(spec: Mapping) -> InfrastructureGraph:
+    """A graph over a topology built from ``spec`` (see :func:`build_topology`),
+    with every asset operational."""
+    return InfrastructureGraph(build_topology(spec))
 
 
 def set_state(
@@ -263,6 +383,7 @@ def set_state(
     change = StateChange(asset_id, old, stamped, at)
     graph.states[asset_id] = stamped
     graph.history.append(change)
+    graph._dirty.add(asset_id)
     for listener in graph._listeners:
         listener(change)
     return change
@@ -361,7 +482,7 @@ def propagate_static_impact(
     return StaticImpactReport(tuple(seeds), tasks)
 
 
-def _strongly_connected_components(graph: InfrastructureGraph) -> list[list[str]]:
+def _strongly_connected_components(topology: Topology) -> list[list[str]]:
     """Iterative Tarjan over dependency edges; components emitted
     dependencies-first (every component before the ones that rely on it)."""
     index: dict[str, int] = {}
@@ -371,10 +492,10 @@ def _strongly_connected_components(graph: InfrastructureGraph) -> list[list[str]
     components: list[list[str]] = []
     counter = 0
 
-    for root in sorted(graph.assets):
+    for root in sorted(topology.assets):
         if root in index:
             continue
-        work = [(root, iter(sorted(e.to_id for e in graph._out[root])))]
+        work = [(root, iter(sorted(e.to_id for e in topology._out[root])))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -389,7 +510,7 @@ def _strongly_connected_components(graph: InfrastructureGraph) -> list[list[str]
                     stack.append(succ)
                     on_stack.add(succ)
                     work.append(
-                        (succ, iter(sorted(e.to_id for e in graph._out[succ])))
+                        (succ, iter(sorted(e.to_id for e in topology._out[succ])))
                     )
                     advanced = True
                     break
@@ -421,35 +542,16 @@ def effective_performance_all(graph: InfrastructureGraph) -> dict[str, float]:
     an any-of group contribute the max over the group's targets.  Members of
     a dependency cycle share one value: the min of their own-state factors,
     scaled by the cycle's external dependencies.
-    """
-    comps = _strongly_connected_components(graph)
-    comp_of: dict[str, int] = {}
-    for i, comp in enumerate(comps):
-        for member in comp:
-            comp_of[member] = i
 
-    value: dict[str, float] = {}
-    for i, comp in enumerate(comps):
-        members = set(comp)
-        own = min(graph.states[a].own_factor() for a in comp)
-        contributions: list[float] = []
-        for a in sorted(comp):
-            grouped: dict[str, list[float]] = {}
-            for edge in graph._out[a]:
-                if edge.to_id in members:
-                    continue  # internal edge, covered by the cycle min rule
-                dep_value = value[edge.to_id]
-                if edge.group is None:
-                    contributions.append(dep_value)
-                else:
-                    grouped.setdefault(edge.group, []).append(dep_value)
-            for alternatives in grouped.values():
-                contributions.append(max(alternatives))
-        ext = min(contributions) if contributions else 1.0
-        comp_value = own * ext
-        for member in comp:
-            value[member] = comp_value
-    return value
+    Only the components reached by state changes since the last call are
+    re-evaluated (see :func:`_reevaluate`); the result is the same as a
+    full evaluation over the topology's components.
+    """
+    if graph._dirty:
+        pending = sorted({graph.topology._comp_of[a] for a in graph._dirty})
+        graph._dirty.clear()
+        _reevaluate(graph.topology, pending, graph.states, graph._values, graph._perf)
+    return dict(graph._perf)
 
 
 def effective_performance(graph: InfrastructureGraph, asset_id: str) -> float:

@@ -243,6 +243,11 @@ class Simulator:
     def pending(self) -> int:
         return len(self._queue)
 
+    def discard_pending(self) -> None:
+        """Drop every event still queued, with the callbacks it holds."""
+        self._queue.clear()
+        self._tags.clear()
+
 
 def trace_lines(trace: list[Event]) -> str:
     """Render a trace as text, one event per line, for byte-level comparison."""

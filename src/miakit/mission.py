@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from .infrastructure import InfrastructureGraph, StateChange, effective_performance_all
+from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance_all
 from .kernel import Distribution, RngStream, Simulator, StreamFactory, sample
 
 
@@ -83,7 +83,9 @@ class MissionResult:
     checkpoint_log: list = field(default_factory=list)
 
 
-def validate_mission(spec: MissionSpec, graph: InfrastructureGraph | None = None) -> MissionSpec:
+def validate_mission(
+    spec: MissionSpec, graph: InfrastructureGraph | Topology | None = None
+) -> MissionSpec:
     """Check references, compute a topological task order, return the
     normalized spec (tasks reordered so predecessors always come first)."""
     by_id = {}

@@ -18,8 +18,8 @@ from typing import Any
 import yaml
 
 from . import metrics as metrics_mod
-from .infrastructure import InfrastructureGraph, build_graph
-from .kernel import Distribution, Simulator, StreamFactory
+from .infrastructure import InfrastructureGraph, Topology, build_topology
+from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
 from .mission import MissionResult, MissionRuntime, MissionSpec, TaskSpec, validate_mission
 from .threat import (
     AttackerRuntime,
@@ -52,7 +52,15 @@ class ValidationError(Exception):
 
 
 def parse_duration(value: Any, fieldname: str = "duration") -> float:
-    """Seconds from a number or a suffixed string like ``90``, ``15m``, ``2h``."""
+    """Seconds from a number or a suffixed string like ``90``, ``15m``, ``2h``;
+    never negative."""
+    seconds = _read_seconds(value, fieldname)
+    if seconds < 0:
+        raise ValidationError(fieldname, f"durations must not be negative, got {value!r}")
+    return seconds
+
+
+def _read_seconds(value: Any, fieldname: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
@@ -75,11 +83,9 @@ def parse_distribution(value: Any, fieldname: str = "distribution") -> Distribut
 
     ``{fixed: X}``, ``{uniform: [a, b]}``, ``{exponential: M}`` (or
     ``{exponential: {mean: M}}``), ``{triangular: [lo, mode, hi]}``; bare
-    numbers are shorthand for fixed.
+    numbers are shorthand for fixed.  Every parameter is a duration.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Distribution.fixed(float(value))
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         return Distribution.fixed(parse_duration(value, fieldname))
     if not isinstance(value, dict) or len(value) != 1:
         raise ValidationError(fieldname, f"expected one-key distribution map, got {value!r}")
@@ -101,8 +107,10 @@ def parse_distribution(value: Any, fieldname: str = "distribution") -> Distribut
                 parse_duration(m, fieldname),
                 parse_duration(b, fieldname),
             )
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError):
         raise ValidationError(fieldname, f"bad {kind} parameters {params!r}") from None
+    except InvalidDistribution as exc:
+        raise ValidationError(fieldname, str(exc)) from None
     raise ValidationError(fieldname, f"unknown distribution kind {kind!r}")
 
 
@@ -159,6 +167,7 @@ def _start_doc(policy: StartPolicy) -> dict:
 @dataclass
 class Scenario:
     infrastructure: dict
+    topology: Topology
     mission: MissionSpec
     attacker: AttackerSpec | None
     defender: DefenderSpec | None
@@ -168,7 +177,8 @@ class Scenario:
     source: str = ""
 
     def build_graph(self) -> InfrastructureGraph:
-        return build_graph(self.infrastructure)
+        """A fresh, all-operational state overlay on the scenario's topology."""
+        return InfrastructureGraph(self.topology)
 
     def without_attack(self) -> "Scenario":
         return dataclasses.replace(self, attacker=None, defender=None)
@@ -204,8 +214,15 @@ class Scenario:
                 )
         trace = sim.run_until(self.horizon)
         result = mission_rt.finalize()
+        # The runtimes, the overlay and the kernel's pending events refer to
+        # one another.  Unlink them so the replication is freed when it
+        # returns, not at some later full garbage-collection pass.
+        sim.discard_pending()
+        graph._listeners.clear()
+        mission_rt._task_start_hooks.clear()
         timeline = None
         if attacker_rt is not None:
+            attacker_rt.onset_listeners.clear()
             attacker_rt.timeline.horizon = self.horizon
             timeline = attacker_rt.timeline
         return metrics_mod.collect(result, timeline), result, timeline, trace
@@ -220,14 +237,20 @@ def _require(doc: dict, key: str, location: str) -> Any:
     return doc[key]
 
 
-def load_scenario(path: str) -> Scenario:
+def read_yaml(path: str) -> Any:
+    """The document at ``path``; a missing file or malformed YAML is a
+    :class:`ParseError` whose message fits on one line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError:
         raise ParseError(path, "no such file") from None
     except yaml.YAMLError as exc:
-        raise ParseError(path, f"YAML error: {exc}") from None
+        raise ParseError(path, "YAML error: " + " ".join(str(exc).split())) from None
+
+
+def load_scenario(path: str) -> Scenario:
+    doc = read_yaml(path)
     if not isinstance(doc, dict):
         raise ParseError(path, "scenario document must be a mapping")
     return scenario_from_dict(doc, source=path)
@@ -240,12 +263,14 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
 
     infra = doc.get("infrastructure") or {}
     try:
-        graph = build_graph(infra)
+        topology = build_topology(infra)
     except Exception as exc:
         raise ValidationError("infrastructure", str(exc)) from None
 
     sim_doc = doc.get("sim") or {}
     horizon = parse_duration(sim_doc.get("horizon", "1d"), "sim.horizon")
+    if horizon <= 0:
+        raise ValidationError("sim.horizon", "must be positive")
     replications = int(sim_doc.get("replications", 1))
     base_seed = int(sim_doc.get("base_seed", 0))
     if replications < 1:
@@ -268,11 +293,17 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
                 ),
             )
         )
+    arrivals = parse_distribution(_require(mission_doc, "arrivals", "mission"), "mission.arrivals")
+    if arrivals.mean() <= 0:
+        raise ValidationError("mission.arrivals", "mean interval between arrivals must be positive")
+    day_length = parse_duration(mission_doc.get("day_length", "1d"), "mission.day_length")
+    if day_length <= 0:
+        raise ValidationError("mission.day_length", "must be positive")
     mission = MissionSpec(
         tasks=tuple(tasks),
-        arrivals=parse_distribution(_require(mission_doc, "arrivals", "mission"), "mission.arrivals"),
+        arrivals=arrivals,
         personnel={str(r): int(n) for r, n in (mission_doc.get("personnel") or {}).items()},
-        day_length=parse_duration(mission_doc.get("day_length", "1d"), "mission.day_length"),
+        day_length=day_length,
         horizon=horizon,
         checkpoints=tuple(
             parse_duration(c, "mission.checkpoints") for c in (mission_doc.get("checkpoints") or [])
@@ -290,13 +321,13 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     )
     for task in mission.tasks:
         for asset in task.required_assets:
-            if asset not in graph.assets:
+            if asset not in topology.assets:
                 raise ValidationError(
                     f"mission.tasks[{task.id}].requires",
                     f"task {task.id!r} bound to unknown asset {asset!r}",
                 )
     try:
-        mission = validate_mission(mission, graph)
+        mission = validate_mission(mission, topology)
     except Exception as exc:
         raise ValidationError("mission", str(exc)) from None
 
@@ -305,9 +336,9 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     if doc.get("attacker") is not None:
         adoc = doc["attacker"]
         target = str(_require(adoc, "target", "attacker"))
-        if target not in graph.assets:
+        if target not in topology.assets:
             raise ValidationError("attacker.target", f"unknown asset {target!r}")
-        if not graph.end_user_nodes():
+        if not topology.end_users:
             raise ValidationError(
                 "infrastructure.assets", "attacker needs at least one end_user_node"
             )
@@ -351,6 +382,7 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
             "edges": list(infra.get("edges", []) or []),
             "vulnerabilities": list(infra.get("vulnerabilities", []) or []),
         },
+        topology=topology,
         mission=mission,
         attacker=attacker,
         defender=defender,

@@ -172,7 +172,7 @@ class AttackerRuntime:
         self.mission = mission
         self.phase = "dormant"
         self.foothold: list[str] = []
-        self.current_position: str | None = None
+        self._hops: list[str] | None = None  # eligible hops from the current foothold
         self.timeline = AttackTimeline()
         self.onset_listeners: list[Callable[[float], None]] = []
         self._end_users = graph.end_user_nodes()
@@ -225,7 +225,7 @@ class AttackerRuntime:
         victim = self._end_users[self.stream.integers(len(self._end_users))]
         if self.stream.random() < self.spec.spearphish_success_prob:
             self.foothold.append(victim)
-            self.current_position = victim
+            self._hops = None
             self.timeline.add(self.sim.now, "access_success", victim)
             if victim == self.spec.target:
                 self._transition("exploitation")
@@ -242,15 +242,18 @@ class AttackerRuntime:
         self.sim.schedule("scan", self.sim.now + delay, self._scan)
 
     def _eligible_hops(self) -> list[str]:
-        seen: set[str] = set()
-        for host in self.foothold:
-            seen |= self.graph.neighbors(host)
-        seen -= set(self.foothold)
-        return sorted(
-            a
-            for a in seen
-            if self.graph.exploits_on(a) & self.spec.capabilities
-        )
+        """Vulnerable neighbours of the foothold, sorted; recomputed only after
+        the foothold changes."""
+        if self._hops is None:
+            seen: set[str] = set()
+            for host in self.foothold:
+                seen |= self.graph.neighbors(host)
+            seen.difference_update(self.foothold)
+            capabilities = self.spec.capabilities
+            self._hops = sorted(
+                a for a in seen if not self.graph.exploits_on(a).isdisjoint(capabilities)
+            )
+        return self._hops
 
     def _scan(self) -> None:
         if self.phase != "lateral_movement":
@@ -260,7 +263,7 @@ class AttackerRuntime:
             choice = hops[self.stream.integers(len(hops))]
             if self.stream.random() < self.spec.proficiency:
                 self.foothold.append(choice)
-                self.current_position = choice
+                self._hops = None
                 self.timeline.add(self.sim.now, "lateral_move", choice)
                 if choice == self.spec.target:
                     self._transition("exploitation")
@@ -285,6 +288,7 @@ class AttackerRuntime:
     def remediate_host(self, host: str, at: float) -> None:
         if host in self.foothold:
             self.foothold.remove(host)
+            self._hops = None
         if host == self.spec.target and self.graph.states[host].mode != "operational":
             set_state(self.graph, host, AssetState("operational"), at)
             self.timeline.add(at, "effect_end", host)

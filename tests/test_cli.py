@@ -92,6 +92,38 @@ class TestScenarioLoading:
         sc = load_scenario(write_scenario(tmp_path, doc, "ok.yaml"))
         assert sc.attacker is not None and sc.defender is None
 
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [(("mission", "tasks", 0, "duration"), {"fixed": -5}, "mission.tasks[0].duration"),
+         (("mission", "tasks", 0, "duration"), {"uniform": [-10, 30]}, "mission.tasks[0].duration"),
+         (("mission", "tasks", 0, "duration"), {"uniform": [30, 10]}, "mission.tasks[0].duration"),
+         (("mission", "tasks", 0, "rework"), -1, "mission.tasks[0].rework"),
+         (("mission", "tasks", 0, "rework"), {"triangular": [-2, 1, 4]}, "mission.tasks[0].rework"),
+         (("mission", "arrivals"), {"fixed": 0}, "mission.arrivals"),
+         (("mission", "arrivals"), 0, "mission.arrivals"),
+         (("mission", "arrivals"), {"uniform": [0, 0]}, "mission.arrivals"),
+         (("mission", "day_length"), 0, "mission.day_length"),
+         (("mission", "deadline_per_item"), "-5m", "mission.deadline_per_item"),
+         (("sim", "horizon"), 0, "sim.horizon")],
+    )
+    def test_negative_duration_or_empty_interval_rejected_at_load(self, tmp_path, path, value, field):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValidationError) as err:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert err.value.field == field
+
+    def test_negative_attack_start_rejected_at_load(self, tmp_path):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["attacker"] = {"target": "sys", "effect": "integrity", "start": {"fixed": -10}}
+        doc["defender"] = None
+        with pytest.raises(ValidationError) as err:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert err.value.field == "attacker.start"
+
     def test_unknown_attack_target(self, tmp_path):
         doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
         doc["attacker"] = {"target": "ghost", "effect": "integrity", "start": {"fixed": 0}}
@@ -252,6 +284,15 @@ class TestCliSimulate:
         assert "percent_reduction_plans_completed" in captured
         assert (tmp_path / "m.csv.baseline.csv").exists()
 
+    def test_negative_duration_is_one_error_line(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["mission"]["tasks"][0]["duration"] = {"fixed": -60}
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: mission.tasks[0].duration")
+
     def test_invalid_scenario_exit_one(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("schema_version: 1\nmission: {}\n")
@@ -283,6 +324,20 @@ class TestCliPropagateAndReport:
         rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
                    "--compromised", "ghost", "--mission", bundled_path("checkpoint.yaml")])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--graph", "--mission"])
+    @pytest.mark.parametrize("problem", ["malformed", "missing"])
+    def test_propagate_bad_input_file_is_one_error_line(self, tmp_path, capsys, flag, problem):
+        bad = tmp_path / "bad.yaml"
+        if problem == "malformed":
+            bad.write_text("assets: [unclosed\n  - {id: a\n")
+        files = {"--graph": bundled_path("checkpoint.yaml"),
+                 "--mission": bundled_path("checkpoint.yaml"), flag: str(bad)}
+        rc = main(["propagate", "--graph", files["--graph"], "--compromised", "plandb",
+                   "--mission", files["--mission"]])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
 
     def test_propagate_root_asset_impacts_every_task(self, tmp_path):
         graph_doc = {

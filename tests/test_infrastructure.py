@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miakit.infrastructure import (
     AssetState,
@@ -17,6 +20,8 @@ from miakit.infrastructure import (
     reachable_dependents,
     set_state,
 )
+from miakit.kernel import run_replications
+from miakit.scenario import bundled_path, load_scenario
 
 
 def chain_graph():
@@ -343,3 +348,140 @@ class TestSetState:
             AssetState("degraded", factor=1.0)
         with pytest.raises(ValueError):
             AssetState("operational", factor=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Incremental performance maintenance on a shared topology
+
+STATES = st.one_of(
+    st.sampled_from(
+        [AssetState(m) for m in ("operational", "unavailable", "integrity_compromised",
+                                 "confidentiality_compromised")]
+    ),
+    st.floats(0.05, 0.95).map(lambda f: AssetState("degraded", factor=f)),
+)
+
+
+@st.composite
+def graph_and_changes(draw):
+    """A small graph with cycles and any-of groups, plus a sequence of
+    (asset, state, read_after) changes."""
+    n = draw(st.integers(1, 9))
+    ids = [f"n{i}" for i in range(n)]
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from([None, "g1", "g2"])),
+                          max_size=20)) if pairs else []
+    spec = {
+        "assets": [{"id": a, "kind": "device"} for a in ids],
+        "edges": [{"from": a, "to": b, "group": g} for (a, b), g in edges],
+    }
+    changes = draw(st.lists(st.tuples(st.sampled_from(ids), STATES, st.booleans()),
+                            min_size=1, max_size=25))
+    return spec, changes
+
+
+def from_scratch_performance(graph):
+    """Every asset's factor computed anew from the states: components by
+    mutual reachability, each evaluated after the components it depends on."""
+    reach = {}
+    for a in graph.assets:
+        seen, stack = {a}, [a]
+        while stack:
+            for e in graph.dependencies_of(stack.pop()):
+                if e.to_id not in seen:
+                    seen.add(e.to_id)
+                    stack.append(e.to_id)
+        reach[a] = seen
+    comp = {a: frozenset(b for b in reach[a] if a in reach[b]) for a in graph.assets}
+    memo = {}
+
+    def value(c):
+        if c not in memo:
+            contributions = []
+            for a in c:
+                grouped = {}
+                for e in graph.dependencies_of(a):
+                    if e.to_id in c:
+                        continue
+                    v = value(comp[e.to_id])
+                    if e.group is None:
+                        contributions.append(v)
+                    else:
+                        grouped.setdefault(e.group, []).append(v)
+                contributions += [max(vs) for vs in grouped.values()]
+            own = min(graph.states[a].own_factor() for a in c)
+            memo[c] = own * (min(contributions) if contributions else 1.0)
+        return memo[c]
+
+    return {a: value(comp[a]) for a in graph.assets}
+
+
+class TestIncrementalPerformance:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_changes())
+    def test_equals_from_scratch_after_every_change(self, case):
+        spec, changes = case
+        g = build_graph(spec)
+        assert effective_performance_all(g) == from_scratch_performance(g)
+        for t, (asset, state, _) in enumerate(changes):
+            set_state(g, asset, state, float(t))
+            assert effective_performance_all(g) == from_scratch_performance(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_changes())
+    def test_batched_changes_between_reads(self, case):
+        spec, changes = case
+        g = build_graph(spec)
+        for t, (asset, state, read) in enumerate(changes):
+            set_state(g, asset, state, float(t))
+            if read:
+                assert effective_performance_all(g) == from_scratch_performance(g)
+        assert effective_performance_all(g) == from_scratch_performance(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph_and_changes())
+    def test_overlays_on_one_topology_are_independent(self, case):
+        spec, changes = case
+        first = build_graph(spec)
+        second = type(first)(first.topology)
+        for t, (asset, state, _) in enumerate(changes):
+            set_state(first, asset, state, float(t))
+        effective_performance_all(first)
+        assert all(s.mode == "operational" for s in second.states.values())
+        assert second.history == []
+        assert set(effective_performance_all(second).values()) <= {1.0}
+
+
+class TestScenarioOverlays:
+    def test_graphs_share_topology_but_not_state(self):
+        sc = load_scenario(bundled_path("timing.yaml"))
+        a, b = sc.build_graph(), sc.build_graph()
+        assert a.topology is b.topology is sc.without_attack().build_graph().topology
+        assert a.states is not b.states and a.history is not b.history
+        set_state(a, "plansys", AssetState("unavailable"), 5.0)
+        assert b.states["plansys"].mode == "operational" and b.history == []
+        assert effective_performance(b, "plansys") == 1.0
+
+    def test_replication_repeats_after_another_ran(self):
+        sc = load_scenario(bundled_path("timing.yaml"))
+
+        def run(k):
+            m, result, timeline, _ = sc.run_detailed(k, sc.base_seed)
+            return m, result.blocked_time, timeline.entries
+
+        first = run(3)
+        other = run(7)
+        assert run(3) == first
+        assert first[2] and any(e.kind == "effect_onset" for e in first[2])
+        assert other != first
+
+    def test_threads_sharing_one_topology_match_serial_runs(self):
+        sc = load_scenario(bundled_path("timing.yaml"))
+        serial = run_replications(sc, 12, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_replications(sc, 12, 5, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
