@@ -183,14 +183,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _load_bindings(path: str) -> dict:
     doc = read_yaml(path)
     tasks = None
+    where = "tasks"
     if isinstance(doc, dict):
         if "mission" in doc and isinstance(doc["mission"], dict):
             tasks = doc["mission"].get("tasks")
+            where = "mission.tasks"
         elif "tasks" in doc:
             tasks = doc["tasks"]
     if not tasks:
         raise ValidationError("mission", f"{path} has no task list")
-    return {str(t["id"]): [str(a) for a in (t.get("requires") or [])] for t in tasks}
+    bindings = {}
+    for i, t in enumerate(tasks):
+        if not isinstance(t, dict) or "id" not in t:
+            raise ValidationError(f"{where}[{i}].id", "missing required field")
+        bindings[str(t["id"])] = [str(a) for a in (t.get("requires") or [])]
+    return bindings
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:

@@ -238,7 +238,8 @@ def detect_retry_chains(
         totals: dict[ServiceKey, int] = defaultdict(int)
         for i, (ts, svc) in enumerate(contacts):
             totals[svc] += 1
-            for ts2, svc2 in contacts[i + 1 :]:
+            for j in range(i + 1, len(contacts)):
+                ts2, svc2 = contacts[j]
                 if ts2 - ts > gap_us:
                     break
                 if svc2 != svc:

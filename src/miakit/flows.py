@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,6 +81,25 @@ class ChannelSeries:
     counts: np.ndarray
 
 
+class FlowLog(list):
+    """The records of one capture, in file order: a plain ``list`` of
+    :class:`FlowRecord`.
+
+    :func:`bin_activity` keeps the channel index it builds on the log, with
+    its bin width and window and a snapshot of the records it read.  A later
+    call with the same bin width and window reuses the index only while the
+    log holds exactly those record objects in the same order, compared by
+    identity (``is``), never by value.  After an append, assignment,
+    deletion or reordering, the next call builds the index again.
+    """
+
+    # (width_us, t0, t1), tuple of the records indexed, channel -> bin numbers
+    _binned: tuple | None = None
+
+
+_NO_BINS = np.empty(0, dtype=np.int64)
+
+
 def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
     if len(fields) != 8:
         raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
@@ -108,7 +128,7 @@ def parse_flows(
     source,
     strict: bool = True,
     malformed: list | None = None,
-) -> list[FlowRecord]:
+) -> FlowLog:
     """Parse flow CSV from a path, file object, or string content.
 
     Strict mode raises :class:`MalformedLine` on the first bad line; lenient
@@ -122,7 +142,7 @@ def parse_flows(
         source = io.StringIO(source)
 
     reader = csv.reader(source)
-    records: list[FlowRecord] = []
+    records = FlowLog()
     header = next(reader, None)
     if header is None or ",".join(header) != FLOW_HEADER:
         raise MalformedLine(1, f"header must be exactly {FLOW_HEADER!r}")
@@ -158,6 +178,15 @@ def service_side(
     peer's port is the service side.  When both ports are ephemeral the lower
     port is taken and the flow is flagged ambiguous.  Destination wins ties.
     """
+    client, host, port, ambiguous = _service_endpoint(record, registered_port_limit)
+    return client, ServiceKey(host, port, record.proto), ambiguous
+
+
+def _service_endpoint(
+    record: FlowRecord, registered_port_limit: int
+) -> tuple[str, str, int, bool]:
+    """:func:`service_side` as plain values: (client_host, service_host,
+    service_port, ambiguous)."""
     src_ok = record.src_port <= registered_port_limit
     dst_ok = record.dst_port <= registered_port_limit
     ambiguous = not (src_ok or dst_ok)
@@ -168,8 +197,8 @@ def service_side(
     else:
         dst_side = record.dst_port <= record.src_port
     if dst_side:
-        return record.src_host, ServiceKey(record.dst_host, record.dst_port, record.proto), ambiguous
-    return record.dst_host, ServiceKey(record.src_host, record.src_port, record.proto), ambiguous
+        return record.src_host, record.dst_host, record.dst_port, ambiguous
+    return record.dst_host, record.src_host, record.src_port, ambiguous
 
 
 def identify_services(
@@ -186,13 +215,48 @@ def channel_of(
     return Channel(client, service)
 
 
+def _channel_index(
+    records: Iterable[FlowRecord], t0: int, t1: int, width_us: int
+) -> dict[Channel, np.ndarray]:
+    """Bin numbers of the records in [t0, t1), one array per channel.
+
+    Each in-window record's channel, as in :func:`channel_of`, gets a row
+    number; one stable sort by row groups the bin numbers by channel.  Rows
+    are keyed by plain (client, host, port, proto) tuples, and each
+    :class:`Channel` is built once per row, not once per record.
+    """
+    rows: dict[tuple[str, str, int, str], int] = {}
+    row_of: list[int] = []
+    bins: list[int] = []
+    for r in records:
+        if t0 <= r.ts_us < t1:
+            client, host, port, _ = _service_endpoint(r, REGISTERED_PORT_LIMIT)
+            row_of.append(rows.setdefault((client, host, port, r.proto), len(rows)))
+            bins.append((r.ts_us - t0) // width_us)
+    row_arr = np.array(row_of, dtype=np.intp)
+    grouped = np.array(bins, dtype=np.int64)[np.argsort(row_arr, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(row_arr, minlength=len(rows)))))
+    return {
+        Channel(client, ServiceKey(host, port, proto)): grouped[bounds[i] : bounds[i + 1]]
+        for (client, host, port, proto), i in rows.items()
+    }
+
+
 def bin_activity(
     records: Iterable[FlowRecord],
     channel: Channel,
     bin_width: float,
     window: tuple[int, int],
 ) -> ChannelSeries:
-    """Per-bin flow counts for ``channel`` over ``window`` = [t0_us, t1_us)."""
+    """Per-bin flow counts for ``channel`` over ``window`` = [t0_us, t1_us).
+
+    One pass over the records bins every channel of the window at once.  On
+    a :class:`FlowLog` that index is kept on the log and reused by later
+    calls with the same bin width and window for as long as the log holds
+    the same record objects (by identity) in the same order; any other
+    iterable is indexed for this call only.  ``counts`` is a new int64
+    array on every call.
+    """
     t0, t1 = window
     if t0 >= t1:
         raise EmptyWindow(f"window [{t0}, {t1}) is empty")
@@ -200,11 +264,20 @@ def bin_activity(
         raise ValueError("bin_width must be positive")
     width_us = int(round(bin_width * 1e6))
     n_bins = -(-(t1 - t0) // width_us)  # ceil division
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for r in records:
-        if not (t0 <= r.ts_us < t1):
-            continue
-        if channel_of(r) != channel:
-            continue
-        counts[(r.ts_us - t0) // width_us] += 1
+    if isinstance(records, FlowLog):
+        key = (width_us, t0, t1)
+        cached = records._binned
+        if not (
+            cached is not None
+            and cached[0] == key
+            and len(records) == len(cached[1])
+            and all(map(operator.is_, records, cached[1]))
+        ):
+            snapshot = tuple(records)
+            cached = records._binned = (key, snapshot, _channel_index(snapshot, t0, t1, width_us))
+        index = cached[2]
+    else:
+        index = _channel_index(records, t0, t1, width_us)
+    counts = np.bincount(index.get(channel, _NO_BINS), minlength=n_bins)
+    counts = counts.astype(np.int64, copy=False)
     return ChannelSeries(channel, bin_width, t0, counts)

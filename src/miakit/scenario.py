@@ -237,6 +237,13 @@ def _require(doc: dict, key: str, location: str) -> Any:
     return doc[key]
 
 
+def _read_int(value: Any, fieldname: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
+
+
 def read_yaml(path: str) -> Any:
     """The document at ``path``; a missing file or malformed YAML is a
     :class:`ParseError` whose message fits on one line."""
@@ -271,8 +278,8 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     horizon = parse_duration(sim_doc.get("horizon", "1d"), "sim.horizon")
     if horizon <= 0:
         raise ValidationError("sim.horizon", "must be positive")
-    replications = int(sim_doc.get("replications", 1))
-    base_seed = int(sim_doc.get("base_seed", 0))
+    replications = _read_int(sim_doc.get("replications", 1), "sim.replications")
+    base_seed = _read_int(sim_doc.get("base_seed", 0), "sim.base_seed")
     if replications < 1:
         raise ValidationError("sim.replications", "must be >= 1")
 
@@ -302,7 +309,10 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     mission = MissionSpec(
         tasks=tuple(tasks),
         arrivals=arrivals,
-        personnel={str(r): int(n) for r, n in (mission_doc.get("personnel") or {}).items()},
+        personnel={
+            str(r): _read_int(n, f"mission.personnel.{r}")
+            for r, n in (mission_doc.get("personnel") or {}).items()
+        },
         day_length=day_length,
         horizon=horizon,
         checkpoints=tuple(

@@ -293,6 +293,23 @@ class TestCliSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: mission.tasks[0].duration")
 
+    @pytest.mark.parametrize(
+        "section,key,value,field",
+        [
+            ("sim", "replications", "many", "sim.replications"),
+            ("sim", "base_seed", "x", "sim.base_seed"),
+            ("mission", "personnel", {"planner": "x"}, "mission.personnel.planner"),
+        ],
+    )
+    def test_non_integer_is_one_error_line(self, tmp_path, capsys, section, key, value, field):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc[section][key] = value
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+
     def test_invalid_scenario_exit_one(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("schema_version: 1\nmission: {}\n")
@@ -338,6 +355,19 @@ class TestCliPropagateAndReport:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_propagate_task_without_id_names_the_field(self, tmp_path, capsys, nested):
+        tasks = [{"id": "t1", "requires": ["plandb"]}, {"requires": ["plandb"]}]
+        doc = {"mission": {"tasks": tasks}} if nested else {"tasks": tasks}
+        mpath = tmp_path / "mission.yaml"
+        mpath.write_text(yaml.safe_dump(doc))
+        rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                   "--compromised", "plandb", "--mission", str(mpath)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        where = "mission.tasks" if nested else "tasks"
+        assert err == [f"error: {where}[1].id: missing required field"]
 
     def test_propagate_root_asset_impacts_every_task(self, tmp_path):
         graph_doc = {

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miakit.discovery import (
+    DEFAULT_DOMINANCE,
+    DEFAULT_EPISODE_GAP,
+    DEFAULT_MIN_SUPPORT,
     ConstantSeries,
     InsufficientOverlap,
     MismatchedBinning,
     NoValidLag,
+    RetryChain,
     detect_retry_chains,
     direct_dependencies,
     direct_key,
@@ -22,7 +27,15 @@ from miakit.discovery import (
     ncc,
     retry_key,
 )
-from miakit.flows import Channel, ChannelSeries, FlowRecord, ServiceKey, bin_activity
+from miakit.flows import (
+    REGISTERED_PORT_LIMIT,
+    Channel,
+    ChannelSeries,
+    FlowRecord,
+    ServiceKey,
+    bin_activity,
+    service_side,
+)
 from miakit.synth import gen_flows, truth_indirect_keys, truth_retry_keys
 
 
@@ -331,6 +344,64 @@ class TestRetryChains:
             gap = 500_000 if k % 10 < 3 else 30_000_000
             records.append(FlowRecord(t + gap, "hmi", 55002, "c", 2404, "tcp", 10, 1))
         assert detect_retry_chains(records) == []
+
+
+def slice_retry_chains(
+    records,
+    episode_gap=DEFAULT_EPISODE_GAP,
+    min_support=DEFAULT_MIN_SUPPORT,
+    dominance=DEFAULT_DOMINANCE,
+    registered_port_limit=REGISTERED_PORT_LIMIT,
+):
+    """Reference: the slice-based loop ``detect_retry_chains`` replaced."""
+    gap_us = int(round(episode_gap * 1e6))
+    per_client = defaultdict(list)
+    for r in records:
+        client, service, _ = service_side(r, registered_port_limit)
+        per_client[client].append((r.ts_us, service))
+
+    chains = []
+    for client in sorted(per_client):
+        contacts = sorted(per_client[client], key=lambda c: c[0])
+        episodes = defaultdict(int)
+        totals = defaultdict(int)
+        for i, (ts, svc) in enumerate(contacts):
+            totals[svc] += 1
+            for ts2, svc2 in contacts[i + 1 :]:
+                if ts2 - ts > gap_us:
+                    break
+                if svc2 != svc:
+                    episodes[(svc, svc2)] += 1
+                    break
+        for (first, fallback), support in sorted(
+            episodes.items(), key=lambda kv: (kv[0][0].label(), kv[0][1].label())
+        ):
+            if support >= min_support and support >= dominance * totals[first]:
+                chains.append(RetryChain(client, first, fallback, support, episode_gap))
+    return chains
+
+
+contact = st.builds(
+    lambda ts, client, server, port, proto: FlowRecord(ts, client, 55000, server, port, proto, 10, 1),
+    st.integers(min_value=0, max_value=60_000_000),
+    st.sampled_from(["hmi", "ws"]),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([53, 2404]),
+    st.sampled_from(["tcp", "udp"]),
+)
+
+
+class TestRetryChainOracle:
+    @given(
+        records=st.lists(contact, max_size=120),
+        episode_gap=st.sampled_from([0.5, 2.0, 10.0]),
+        min_support=st.integers(min_value=1, max_value=4),
+        dominance=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_index_walk_matches_slice_loop(self, records, episode_gap, min_support, dominance):
+        got = detect_retry_chains(records, episode_gap, min_support, dominance)
+        assert got == slice_retry_chains(records, episode_gap, min_support, dominance)
 
 
 class TestEvaluate:

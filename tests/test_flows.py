@@ -9,6 +9,7 @@ from miakit.flows import (
     FLOW_HEADER,
     Channel,
     EmptyWindow,
+    FlowLog,
     FlowRecord,
     MalformedLine,
     ServiceKey,
@@ -30,6 +31,12 @@ def flow(ts_us=0, src="10.0.0.2", sport=51514, dst="10.0.0.1", dport=443, proto=
 class TestParsing:
     def test_empty_file_with_header(self):
         assert parse_flows(FLOW_HEADER + "\n") == []
+
+    def test_parse_returns_a_flow_log_list(self):
+        records = [flow(ts_us=5), flow(ts_us=9, dport=22)]
+        log = parse_flows(serialize_flows(records))
+        assert isinstance(log, FlowLog) and isinstance(log, list)
+        assert log == records and log[1:] == records[1:] and list(log) == records
 
     def test_wrong_header_rejected(self):
         with pytest.raises(MalformedLine):
@@ -177,3 +184,102 @@ class TestBinning:
         assert int(fine.counts.sum()) == in_window
         paired = fine.counts.reshape(-1, 2).sum(axis=1)
         assert np.array_equal(paired, coarse.counts)
+
+
+def bin_oracle(records, channel, bin_width, window):
+    """Reference: the per-record loop ``bin_activity`` ran before it indexed
+    channels."""
+    t0, t1 = window
+    width_us = int(round(bin_width * 1e6))
+    n_bins = -(-(t1 - t0) // width_us)  # ceil division
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for r in records:
+        if not (t0 <= r.ts_us < t1):
+            continue
+        if channel_of(r) != channel:
+            continue
+        counts[(r.ts_us - t0) // width_us] += 1
+    return counts
+
+
+flow_record = st.builds(
+    flow,
+    ts_us=st.integers(min_value=0, max_value=12_000_000),
+    src=st.sampled_from(["10.0.0.2", "10.0.0.3", "10.0.0.1"]),
+    sport=st.sampled_from([51514, 443, 60000]),
+    dst=st.sampled_from(["10.0.0.1", "10.0.0.4"]),
+    dport=st.sampled_from([443, 22, 55000]),
+    proto=st.sampled_from(["tcp", "udp"]),
+)
+window = st.tuples(
+    st.integers(min_value=0, max_value=6_000_000), st.integers(min_value=1, max_value=8_000_000)
+).map(lambda w: (w[0], w[0] + w[1]))
+width = st.sampled_from([0.25, 0.7, 1.0, 3.0])
+ABSENT = Channel("10.9.9.9", ServiceKey("10.0.0.1", 443, "tcp"))
+
+
+def channels(records):
+    return sorted({channel_of(r) for r in records} | {ABSENT}, key=Channel.label)
+
+
+def assert_matches_oracle(records, bin_width, win):
+    for ch in channels(records):
+        got = bin_activity(records, ch, bin_width, win)
+        want = bin_oracle(list(records), ch, bin_width, win)
+        assert got.counts.dtype == np.int64
+        assert np.array_equal(got.counts, want), ch.label()
+
+
+class TestChannelIndex:
+    @given(records=st.lists(flow_record, max_size=80), bin_width=width, win=window)
+    @settings(max_examples=60, deadline=None)
+    def test_log_list_and_generator_match_oracle(self, records, bin_width, win):
+        log = FlowLog(records)
+        for ch in channels(records):
+            want = bin_oracle(records, ch, bin_width, win)
+            for source in (log, list(records), (r for r in records)):
+                assert np.array_equal(bin_activity(source, ch, bin_width, win).counts, want)
+
+    @given(
+        records=st.lists(flow_record, max_size=80),
+        first=st.tuples(width, window),
+        second=st.tuples(width, window),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_log_two_binnings_in_turn(self, records, first, second):
+        log = FlowLog(records)
+        for bin_width, win in (first, second, first, second):
+            assert_matches_oracle(log, bin_width, win)
+
+    @given(
+        records=st.lists(flow_record, min_size=1, max_size=60),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["append", "set", "del", "sort"]),
+                      st.integers(min_value=0, max_value=10**6), flow_record),
+            min_size=1, max_size=4,
+        ),
+        bin_width=width,
+        win=window,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_edits_after_indexing_are_seen(self, records, edits, bin_width, win):
+        log = FlowLog(records)
+        assert_matches_oracle(log, bin_width, win)
+        for op, k, record in edits:
+            if op == "append":
+                log.append(record)
+            elif op == "set" and log:
+                log[k % len(log)] = record
+            elif op == "del" and log:
+                del log[k % len(log)]
+            elif op == "sort":
+                log.sort(key=lambda r: (-r.ts_us, r.src_port))
+            assert_matches_oracle(log, bin_width, win)
+
+    def test_returned_counts_are_the_callers(self):
+        log = FlowLog([flow(ts_us=t) for t in (0, 10, 1_500_000)])
+        ch = channel_of(log[0])
+        first = bin_activity(log, ch, 1.0, (0, 2_000_000))
+        first.counts[:] = 99
+        again = bin_activity(log, ch, 1.0, (0, 2_000_000))
+        assert list(again.counts) == [2, 1]
