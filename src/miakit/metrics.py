@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from scipy import stats as _scipy_stats
-
 SIGNIFICANT_REDUCTION = 0.10
 
 CSV_HEADER = (
@@ -122,6 +120,12 @@ def aggregate(metrics: Sequence[MissionMetrics]) -> ReplicationSummary:
     if not metrics:
         raise EmptyInput("no replications to aggregate")
     n = len(metrics)
+    if n >= 2:
+        # Imported here, not at module level: scipy costs about a second to
+        # import, and only this summary needs it.
+        from scipy import stats
+
+        t = float(stats.t.ppf(0.975, n - 1))
     per_metric: dict[str, MetricSummary] = {}
     for name in METRIC_NAMES:
         values = [float(getattr(m, name)) for m in metrics]
@@ -130,7 +134,6 @@ def aggregate(metrics: Sequence[MissionMetrics]) -> ReplicationSummary:
         if n >= 2:
             var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
             stdev = math.sqrt(var)
-            t = float(_scipy_stats.t.ppf(0.975, n - 1))
             half = t * stdev / math.sqrt(n)
         else:
             stdev = 0.0

@@ -16,15 +16,15 @@ import numpy as np
 import yaml
 
 from .flows import Channel, FlowRecord, ServiceKey, parse_service
+from .scenario import ParseError, read_yaml
 
 SCHEMA_VERSION = 1
 
 
 def load_topology(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = read_yaml(path)
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: topology document must be a mapping")
+        raise ParseError(path, "topology document must be a mapping")
     return doc
 
 
@@ -186,5 +186,4 @@ def save_truth(truth: dict, path: str) -> None:
 
 
 def load_truth(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+    return read_yaml(path)

@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miakit.cli import main
 from miakit.kernel import Distribution
@@ -13,6 +15,7 @@ from miakit.scenario import (
     parse_distribution,
     parse_duration,
     save_scenario,
+    scenario_from_dict,
 )
 
 MINIMAL = {
@@ -31,6 +34,33 @@ MINIMAL = {
     },
     "sim": {"replications": 2, "base_seed": 3, "horizon": 3600},
 }
+
+ATTACKER = {"target": "sys", "effect": "integrity", "start": {"fixed": 0}, "capabilities": ["e1"]}
+
+# Every section of a scenario that must be a mapping, as (path, field name,
+# an example of a value that is not one).
+SECTIONS = [
+    (("infrastructure",), "infrastructure", ["a"]),
+    (("sim",), "sim", "fast"),
+    (("mission",), "mission", "x"),
+    (("mission", "personnel"), "mission.personnel", ["planner"]),
+    (("mission", "tasks", 0), "mission.tasks[0]", 5),
+    (("attacker",), "attacker", "x"),
+    (("defender",), "defender", "x"),
+]
+
+
+def with_section(path, value):
+    """MINIMAL with the section at ``path`` set to ``value``; the defender
+    section is only read when there is an attacker, so that case gets one."""
+    doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    if path == ("defender",):
+        doc["attacker"] = dict(ATTACKER)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
@@ -141,6 +171,20 @@ class TestScenarioLoading:
             assert again.attacker == sc.attacker
             assert again.defender == sc.defender
             assert again.infrastructure == sc.infrastructure
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        section=st.sampled_from(SECTIONS),
+        value=st.one_of(
+            st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(),
+            st.lists(st.text(max_size=3), max_size=3),
+        ),
+    )
+    def test_section_that_is_not_a_mapping_names_its_field(self, section, value):
+        path, field, _ = section
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(with_section(path, value))
+        assert err.value.field == field and err.value.reason == "must be a mapping"
 
     def test_bundled_scenarios_all_load(self):
         for name in ("slack.yaml", "outage_sweep.yaml", "checkpoint.yaml",
@@ -256,6 +300,18 @@ class TestCliGenFlows:
         assert rc == 0
         assert out.read_text().strip() == "ts_us,src_ip,src_port,dst_ip,dst_port,proto,bytes,packets"
 
+    @pytest.mark.parametrize("problem", ["malformed", "missing", "not-utf8"])
+    def test_bad_topology_file_is_one_error_line(self, tmp_path, capsys, problem):
+        bad = tmp_path / "bad.yaml"
+        if problem == "malformed":
+            bad.write_text("a: [1,\n")
+        elif problem == "not-utf8":
+            bad.write_bytes(b"duration_s: \xff\xfe\n")
+        rc = main(["gen-flows", "--topology", str(bad), "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
 
 class TestCliSimulate:
     def test_metrics_csv_deterministic(self, tmp_path):
@@ -309,6 +365,13 @@ class TestCliSimulate:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("path,field,value", SECTIONS, ids=[f for _, f, _ in SECTIONS])
+    def test_section_not_a_mapping_is_one_error_line(self, tmp_path, capsys, path, field, value):
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, with_section(path, value)),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {field}: must be a mapping"]
 
     def test_invalid_scenario_exit_one(self, tmp_path):
         bad = tmp_path / "bad.yaml"
