@@ -136,7 +136,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
                 for a in (graph.assets[k] for k in sorted(graph.assets))
             ],
             "edges": [
-                {"from": e.from_id, "to": e.to_id, "kind": e.kind, "weight": e.weight}
+                {"from": e.from_id, "to": e.to_id, "kind": e.kind}
                 for e in graph.edges
             ],
             "vulnerabilities": [],
@@ -159,14 +159,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = args.replications if args.replications is not None else scenario.replications
     seed = args.seed if args.seed is not None else scenario.base_seed
 
-    results = run_replications(scenario, n, seed, workers=args.workers)
+    results = run_replications(scenario, n, seed)
     _write(args.out, metrics.metrics_csv(results))
     summary = metrics.aggregate(results)
     print(f"scenario: {args.scenario} (replications={n}, base_seed={seed})")
     print(metrics.summary_text(summary, title="attack" if scenario.attacker else "mission"), end="")
 
     if args.baseline:
-        base = run_replications(scenario.without_attack(), n, seed, workers=args.workers)
+        base = run_replications(scenario.without_attack(), n, seed)
         base_path = args.out + ".baseline.csv"
         _write(base_path, metrics.metrics_csv(base))
         base_summary = metrics.aggregate(base)
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--replications", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--baseline", action="store_true", help="also run the attack-free variant")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)

@@ -83,14 +83,11 @@ class DependencyEdge:
     from_id: str
     to_id: str
     kind: str = "declared"
-    weight: float = 1.0
     group: str | None = None
 
     def __post_init__(self):
         if self.kind not in EDGE_KINDS:
             raise ValueError(f"unknown edge kind {self.kind!r}")
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError(f"edge weight must be in (0, 1], got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -334,7 +331,7 @@ def build_topology(spec: Mapping) -> Topology:
     """Build and validate a topology from its structured description.
 
     ``spec`` mirrors the ``infrastructure`` section of a scenario document:
-    ``assets`` (id/kind/name/subnet), ``edges`` (from/to/kind/weight/group)
+    ``assets`` (id/kind/name/subnet), ``edges`` (from/to/kind/group)
     and ``vulnerabilities`` (asset/exploit).
     """
     return Topology(
@@ -352,7 +349,6 @@ def build_topology(spec: Mapping) -> Topology:
                 from_id=str(entry["from"]),
                 to_id=str(entry["to"]),
                 kind=str(entry.get("kind", "declared")),
-                weight=float(entry.get("weight", 1.0)),
                 group=entry.get("group"),
             )
             for entry in spec.get("edges", []) or []

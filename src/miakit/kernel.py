@@ -3,14 +3,12 @@
 A single-threaded event loop ordered by (time, insertion sequence), a small
 family of parametric duration distributions, and replayable random streams
 keyed by (seed, stream id).  Replications are independent: each one gets its
-own kernel and its own derived streams, so runs may execute concurrently
-without sharing state.
+own kernel and its own derived streams.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -258,22 +256,12 @@ def trace_lines(trace: list[Event]) -> str:
 # Replications
 
 
-def run_replications(
-    scenario: Any,
-    n: int,
-    base_seed: int,
-    workers: int | None = None,
-) -> list[Any]:
-    """Run ``n`` independent replications of ``scenario``.
+def run_replications(scenario: Any, n: int, base_seed: int) -> list[Any]:
+    """Run ``n`` independent replications of ``scenario``, in index order.
 
-    ``scenario`` must expose ``run_replication(index, base_seed)``.  Results
-    are returned ordered by replication index; replication k's outcome is a
-    function of (base_seed, k, scenario) only, so sequential and concurrent
-    execution give identical output.
+    ``scenario`` must expose ``run_replication(index, base_seed)``;
+    replication k's outcome is a function of (base_seed, k, scenario) only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if workers is None or workers <= 1:
-        return [scenario.run_replication(k, base_seed) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda k: scenario.run_replication(k, base_seed), range(n)))
+    return [scenario.run_replication(k, base_seed) for k in range(n)]

@@ -29,7 +29,9 @@ class UnknownRole(Exception):
 
 
 class UnknownAssetBinding(Exception):
-    pass
+    def __init__(self, task_id: str, asset: str):
+        super().__init__(f"task {task_id!r} bound to unknown asset {asset!r}")
+        self.task_id = task_id
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,7 @@ def validate_mission(
         if graph is not None:
             for asset in task.required_assets:
                 if asset not in graph.assets:
-                    raise UnknownAssetBinding(
-                        f"task {task.id!r} requires unknown asset {asset!r}"
-                    )
+                    raise UnknownAssetBinding(task.id, asset)
     for cp in spec.checkpoints:
         if not (0 <= cp < spec.day_length):
             raise ValueError(f"checkpoint {cp} outside [0, day_length)")
@@ -138,26 +138,19 @@ def compute_utilization(spec: MissionSpec) -> dict:
     return {role: rate * load[role] / spec.personnel[role] for role in load}
 
 
-def apply_checkpoint(
-    items: Iterable[WorkItem], checkpoint_time: float, defender_aware: bool = False
-) -> tuple[list[WorkItem], list[WorkItem]]:
+def apply_checkpoint(items: Iterable[WorkItem]) -> list[WorkItem]:
     """Examine items at a consistency checkpoint.
 
-    Every tainted item's taint is detected and cleared; those items form the
-    rework set (the caller adds the rework effort).  Untainted items pass.
-    ``defender_aware`` records whether the examination happened with the
-    defender's detection already declared; detection at the checkpoint
-    itself is unconditional.
+    Every tainted item's taint is detected and cleared; those items are
+    returned as the rework set (the caller adds the rework effort).
+    Untainted items pass.  Detection is unconditional.
     """
-    cleared: list[WorkItem] = []
     rework: list[WorkItem] = []
     for item in items:
         if item.tainted:
             item.tainted = False
             rework.append(item)
-        else:
-            cleared.append(item)
-    return cleared, rework
+    return rework
 
 
 @dataclass
@@ -172,7 +165,11 @@ class _Run:
 
 
 class MissionRuntime:
-    """Event-driven execution of one mission replication on a kernel."""
+    """Event-driven execution of one mission replication on a kernel.
+
+    ``spec`` must come from :func:`validate_mission` against the graph's
+    topology; it is used as given, not validated again.
+    """
 
     def __init__(
         self,
@@ -181,7 +178,7 @@ class MissionRuntime:
         sim: Simulator,
         streams: StreamFactory,
     ):
-        self.spec = validate_mission(spec, graph)
+        self.spec = spec
         self.graph = graph
         self.sim = sim
         self.streams = streams
@@ -247,7 +244,7 @@ class MissionRuntime:
         in_progress = [
             i for i in self.items.values() if i.completed_at is None and i.outcome == "in_progress"
         ]
-        _, rework = apply_checkpoint(in_progress, at, defender_aware=True)
+        rework = apply_checkpoint(in_progress)
         self.checkpoint_log.append((at, "detection_exam", len(rework)))
         for item in rework:
             self._add_rework(item)
@@ -425,7 +422,7 @@ class MissionRuntime:
             if i.outcome == "in_progress"
             and (i.completed_at is None or i.id in self.completed_today)
         ]
-        _, rework = apply_checkpoint(examined, at, defender_aware=self.awareness)
+        rework = apply_checkpoint(examined)
         self.checkpoint_log.append((at, "checkpoint", len(rework)))
         for item in rework:
             self._add_rework(item)
@@ -514,7 +511,7 @@ def simulate_mission(
     kernel: Simulator,
     streams: StreamFactory,
 ) -> MissionResult:
-    """Run the mission alone (no adversary) to the spec horizon."""
-    runtime = MissionRuntime(spec, graph, kernel, streams).install()
+    """Validate ``spec`` and run the mission alone (no adversary) to its horizon."""
+    runtime = MissionRuntime(validate_mission(spec, graph), graph, kernel, streams).install()
     kernel.run_until(spec.horizon)
     return runtime.finalize()

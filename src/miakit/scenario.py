@@ -20,7 +20,14 @@ import yaml
 from . import metrics as metrics_mod
 from .infrastructure import InfrastructureGraph, Topology, build_topology
 from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
-from .mission import MissionResult, MissionRuntime, MissionSpec, TaskSpec, validate_mission
+from .mission import (
+    MissionResult,
+    MissionRuntime,
+    MissionSpec,
+    TaskSpec,
+    UnknownAssetBinding,
+    validate_mission,
+)
 from .threat import (
     AttackerRuntime,
     AttackerSpec,
@@ -257,6 +264,15 @@ def _mapping(value: Any, fieldname: str) -> dict:
     return value
 
 
+def _list(value: Any, fieldname: str) -> list:
+    """A list-valued field; absent or null reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(fieldname, "must be a list")
+    return value
+
+
 def read_yaml(path: str) -> Any:
     """The document at ``path``; a missing file, non-UTF-8 text or malformed
     YAML is a :class:`ParseError` whose message fits on one line."""
@@ -300,7 +316,7 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
 
     mission_doc = _mapping(_require(doc, "mission", "scenario"), "mission")
     tasks = []
-    for i, tdoc in enumerate(mission_doc.get("tasks", []) or []):
+    for i, tdoc in enumerate(_list(mission_doc.get("tasks"), "mission.tasks")):
         loc = f"mission.tasks[{i}]"
         tdoc = _mapping(tdoc, loc)
         task_id = str(_require(tdoc, "id", loc))
@@ -309,8 +325,8 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
                 id=task_id,
                 duration=parse_distribution(_require(tdoc, "duration", loc), f"{loc}.duration"),
                 role=str(_require(tdoc, "role", loc)),
-                required_assets=tuple(str(a) for a in (tdoc.get("requires") or [])),
-                predecessors=tuple(str(p) for p in (tdoc.get("after") or [])),
+                required_assets=tuple(map(str, _list(tdoc.get("requires"), f"{loc}.requires"))),
+                predecessors=tuple(map(str, _list(tdoc.get("after"), f"{loc}.after"))),
                 rework_duration=parse_distribution(
                     tdoc.get("rework", 0.0), f"{loc}.rework"
                 ),
@@ -332,7 +348,8 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
         day_length=day_length,
         horizon=horizon,
         checkpoints=tuple(
-            parse_duration(c, "mission.checkpoints") for c in (mission_doc.get("checkpoints") or [])
+            parse_duration(c, "mission.checkpoints")
+            for c in _list(mission_doc.get("checkpoints"), "mission.checkpoints")
         ),
         deadline_per_item=(
             parse_duration(mission_doc["deadline_per_item"], "mission.deadline_per_item")
@@ -345,15 +362,10 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
             else None
         ),
     )
-    for task in mission.tasks:
-        for asset in task.required_assets:
-            if asset not in topology.assets:
-                raise ValidationError(
-                    f"mission.tasks[{task.id}].requires",
-                    f"task {task.id!r} bound to unknown asset {asset!r}",
-                )
     try:
         mission = validate_mission(mission, topology)
+    except UnknownAssetBinding as exc:
+        raise ValidationError(f"mission.tasks[{exc.task_id}].requires", str(exc)) from None
     except Exception as exc:
         raise ValidationError("mission", str(exc)) from None
 
@@ -372,7 +384,9 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
             target=target,
             effect=parse_effect(_require(adoc, "effect", "attacker")),
             start=parse_start(_require(adoc, "start", "attacker")),
-            capabilities=frozenset(str(c) for c in (adoc.get("capabilities") or [])),
+            capabilities=frozenset(
+                map(str, _list(adoc.get("capabilities"), "attacker.capabilities"))
+            ),
             spearphish_success_prob=float(adoc.get("spearphish_success_prob", 1.0)),
             spearphish_interval=parse_distribution(
                 adoc.get("spearphish_interval", 60.0), "attacker.spearphish_interval"

@@ -5,6 +5,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miakit import mission as mission_mod
+from miakit import scenario as scenario_mod
 from miakit.cli import main
 from miakit.kernel import Distribution
 from miakit.scenario import (
@@ -16,6 +18,7 @@ from miakit.scenario import (
     parse_duration,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 
 MINIMAL = {
@@ -49,13 +52,23 @@ SECTIONS = [
     (("defender",), "defender", "x"),
 ]
 
+# Every field of a scenario that must be a list, as (path, field name).
+LIST_FIELDS = [
+    (("mission", "tasks"), "mission.tasks"),
+    (("mission", "checkpoints"), "mission.checkpoints"),
+    (("mission", "tasks", 0, "requires"), "mission.tasks[0].requires"),
+    (("mission", "tasks", 0, "after"), "mission.tasks[0].after"),
+    (("attacker", "capabilities"), "attacker.capabilities"),
+]
+
 
 def with_section(path, value):
     """MINIMAL with the section at ``path`` set to ``value``; the defender
-    section is only read when there is an attacker, so that case gets one."""
+    section is only read when there is an attacker, so the attacker and
+    defender cases get both."""
     doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
-    if path == ("defender",):
-        doc["attacker"] = dict(ATTACKER)
+    if path[0] in ("attacker", "defender"):
+        doc["attacker"], doc["defender"] = dict(ATTACKER), None
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -186,6 +199,45 @@ class TestScenarioLoading:
             scenario_from_dict(with_section(path, value))
         assert err.value.field == field and err.value.reason == "must be a mapping"
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        list_field=st.sampled_from(LIST_FIELDS),
+        value=st.one_of(
+            st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+        ),
+    )
+    def test_list_field_that_is_not_a_list_names_its_field(self, list_field, value):
+        path, field = list_field
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(with_section(path, value))
+        assert err.value.field == field and err.value.reason == "must be a list"
+
+    @pytest.mark.parametrize("path", [p for p, _ in LIST_FIELDS], ids=[f for _, f in LIST_FIELDS])
+    def test_null_list_field_reads_as_empty(self, path):
+        echoed = scenario_to_dict(scenario_from_dict(with_section(path, None)))
+        for key in path:
+            echoed = echoed[key]
+        assert echoed == []
+
+    def test_mission_validated_once_at_load_not_per_replication(self, monkeypatch):
+        calls = []
+
+        real = mission_mod.validate_mission
+
+        def counting(spec, graph=None):
+            calls.append(spec)
+            return real(spec, graph)
+
+        monkeypatch.setattr(mission_mod, "validate_mission", counting)
+        monkeypatch.setattr(scenario_mod, "validate_mission", counting)
+        sc = load_scenario(bundled_path("checkpoint.yaml"))
+        assert len(calls) == 1
+        sc.run_replication(0, sc.base_seed)
+        sc.run_detailed(1, sc.base_seed, record_trace=True)
+        sc.without_attack().run_replication(0, sc.base_seed)
+        assert len(calls) == 1
+
     def test_bundled_scenarios_all_load(self):
         for name in ("slack.yaml", "outage_sweep.yaml", "checkpoint.yaml",
                      "timing.yaml", "baseline.yaml"):
@@ -258,6 +310,7 @@ class TestCliDiscover:
         gdoc = yaml.safe_load(open(graph_out))
         assert any(a["kind"] == "service" for a in gdoc["assets"])
         assert len(gdoc["annotations"]) == 3
+        assert gdoc["edges"] and all(set(e) == {"from", "to", "kind"} for e in gdoc["edges"])
 
     def test_discover_output_deterministic(self, tmp_path):
         flows_path, _ = self._gen(tmp_path, topology="cascade_clean.yaml")
@@ -373,6 +426,30 @@ class TestCliSimulate:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {field}: must be a mapping"]
 
+    @pytest.mark.parametrize("value", [5, "e1"])
+    @pytest.mark.parametrize("path,field", LIST_FIELDS, ids=[f for _, f in LIST_FIELDS])
+    def test_list_field_not_a_list_is_one_error_line(self, tmp_path, capsys, path, field, value):
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, with_section(path, value)),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {field}: must be a list"]
+
+    def test_unknown_asset_binding_is_one_error_line(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["mission"]["tasks"][0]["requires"] = ["sys", "ghost"]
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mission.tasks[draft].requires: task 'draft' bound to unknown asset 'ghost'"
+        ]
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--scenario", bundled_path("timing.yaml"), "--workers", "2",
+                  "--out", str(tmp_path / "m.csv")])
+        assert err.value.code == 2
+
     def test_invalid_scenario_exit_one(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("schema_version: 1\nmission: {}\n")
@@ -399,6 +476,24 @@ class TestCliPropagateAndReport:
         assert rc == 0
         doc = yaml.safe_load(open(out))
         assert doc["tasks"]["draft"]["impacted"] is False
+
+    def test_propagate_reads_graph_with_edge_weights(self, tmp_path, capsys):
+        # Graph documents written before edges lost their weight still load.
+        chain = [("db", "core"), ("app", "db")]
+        outs = []
+        for extra in ({}, {"weight": 0.5}):
+            gpath = tmp_path / "graph.yaml"
+            gpath.write_text(yaml.safe_dump({
+                "assets": [{"id": a, "kind": "device"} for a in ("core", "db", "app")],
+                "edges": [{"from": f, "to": t, **extra} for f, t in chain],
+            }))
+            mpath = write_scenario(tmp_path, {"tasks": [{"id": "t1", "requires": ["app"]}]})
+            rc = main(["propagate", "--graph", str(gpath), "--compromised", "core",
+                       "--mission", mpath])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert yaml.safe_load(outs[1])["tasks"]["t1"]["witness"] == ["app", "db", "core"]
 
     def test_propagate_unknown_asset_exit_one(self, tmp_path):
         rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),

@@ -1,5 +1,6 @@
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -481,7 +482,8 @@ class TestScenarioOverlays:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_replications(sc, 12, 5, workers=6)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                threaded = list(pool.map(lambda k: sc.run_replication(k, 5), range(12)))
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial

@@ -162,12 +162,6 @@ class TestReplications:
         sc = _StubScenario()
         assert run_replications(sc, 5, 42) == run_replications(sc, 5, 42)
 
-    def test_sequential_equals_concurrent(self):
-        sc = _StubScenario()
-        seq = run_replications(sc, 5, 42)
-        par = run_replications(sc, 5, 42, workers=4)
-        assert seq == par
-
     def test_single_equals_direct_call(self):
         sc = _StubScenario()
         assert run_replications(sc, 1, 9) == [sc.run_replication(0, 9)]

@@ -243,11 +243,9 @@ class TestTaintAndCheckpoints:
 
     def test_apply_checkpoint_pure_op(self):
         items = [WorkItem(id=1, created_at=0, current_task="t1")]
-        cleared, rework = apply_checkpoint(items, 100.0)
-        assert cleared == items and rework == []
+        assert apply_checkpoint(items) == [] and not items[0].tainted
         items[0].tainted = True
-        cleared, rework = apply_checkpoint(items, 200.0)
-        assert rework == items and not items[0].tainted
+        assert apply_checkpoint(items) == items and not items[0].tainted
 
     def test_taint_detected_at_checkpoint(self):
         # Compromise [500, 800), checkpoint at 2000 inside the same day.
