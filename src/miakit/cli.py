@@ -18,7 +18,7 @@ import yaml
 from . import discovery, flows, metrics, synth
 from .infrastructure import GraphError, build_graph, propagate_static_impact
 from .kernel import run_replications
-from .scenario import ParseError, ValidationError, load_scenario, read_yaml
+from .scenario import ParseError, ValidationError, _list, load_scenario, read_yaml
 
 _DOMAIN_ERRORS = (
     ParseError,
@@ -190,13 +190,15 @@ def _load_bindings(path: str) -> dict:
             where = "mission.tasks"
         elif "tasks" in doc:
             tasks = doc["tasks"]
+    tasks = _list(tasks, where)
     if not tasks:
         raise ValidationError("mission", f"{path} has no task list")
     bindings = {}
     for i, t in enumerate(tasks):
         if not isinstance(t, dict) or "id" not in t:
             raise ValidationError(f"{where}[{i}].id", "missing required field")
-        bindings[str(t["id"])] = [str(a) for a in (t.get("requires") or [])]
+        requires = _list(t.get("requires"), f"{where}[{i}].requires")
+        bindings[str(t["id"])] = [str(a) for a in requires]
     return bindings
 
 

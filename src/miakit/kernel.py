@@ -9,6 +9,7 @@ own kernel and its own derived streams.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -51,9 +52,9 @@ class Distribution:
             if len(p) != 1 or p[0] <= 0:
                 raise InvalidDistribution(f"exponential requires mean > 0, got {p}")
         elif self.kind == "triangular":
-            if len(p) != 3 or not (p[0] <= p[1] <= p[2]):
+            if len(p) != 3 or not (p[0] <= p[1] <= p[2]) or p[0] == p[2]:
                 raise InvalidDistribution(
-                    f"triangular requires low <= mode <= high, got {p}"
+                    f"triangular requires low < high and low <= mode <= high, got {p}"
                 )
         else:
             raise InvalidDistribution(f"unknown distribution kind {self.kind!r}")
@@ -117,31 +118,44 @@ def sample(dist: Distribution, stream: "RngStream") -> float:
 
 
 class RngStream:
-    """Deterministic random stream: (seed, stream_id, draw index) -> value."""
+    """Deterministic random stream: (seed, stream_id, draw index) -> value.
 
-    def __init__(self, seed: int, stream_id: int):
+    The generator is PCG64 seeded by ``SeedSequence((seed, stream_id))``;
+    ``seed_seq`` may hand in that seed precomputed (see :mod:`miakit.seeding`).
+    """
+
+    def __init__(self, seed: int, stream_id: int, seed_seq: Any = None):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.draws = 0
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, self.stream_id)))
-        )
+        if seed_seq is None:
+            seed_seq = np.random.SeedSequence((self.seed, self.stream_id))
+        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
 
     def random(self) -> float:
         self.draws += 1
         return float(self._gen.random())
 
     def uniform(self, low: float, high: float) -> float:
+        # NumPy's own formula (``random_uniform``) on one raw double, without
+        # the argument checks and array dispatch of ``Generator.uniform``.
         self.draws += 1
-        return float(self._gen.uniform(low, high))
+        return low + (high - low) * self._gen.random()
 
     def exponential(self, mean: float) -> float:
         self.draws += 1
         return float(self._gen.exponential(mean))
 
     def triangular(self, low: float, mode: float, high: float) -> float:
+        # NumPy's ``random_triangular``, operation for operation; needs
+        # low < high, which Distribution checks.
         self.draws += 1
-        return float(self._gen.triangular(low, mode, high))
+        u = self._gen.random()
+        base = high - low
+        left = mode - low
+        if u <= left / base:
+            return low + math.sqrt(u * (left * base))
+        return high - math.sqrt((1.0 - u) * ((high - mode) * base))
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -170,12 +184,20 @@ class StreamFactory:
         # Collapse (base_seed, replication) into one 64-bit replication seed.
         ss = np.random.SeedSequence((self.base_seed, self.replication))
         self._rep_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
+        # Imported here, not at the top: it needs numpy.random (a few MB),
+        # which commands that run no simulation never load.
+        from .seeding import ItemSeeds
+
+        self._item_seeds = ItemSeeds(self._rep_seed)
 
     def stream(self, stream_id: int) -> RngStream:
         return RngStream(self._rep_seed, stream_id)
 
     def item_stream(self, item_id: int) -> RngStream:
-        return self.stream(self._ITEM_BASE + item_id)
+        """Item ``item_id``'s stream: ``SeedSequence((rep_seed, 1_000_000 +
+        item_id))``, whichever way its seed is computed."""
+        stream_id = self._ITEM_BASE + item_id
+        return RngStream(self._rep_seed, stream_id, self._item_seeds.get(stream_id))
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +219,48 @@ class Simulator:
 
     ``schedule`` enqueues a callback at an absolute simulated time and returns
     the event's sequence id; ``run_until`` dispatches in (time, seq) order up
-    to a horizon.  The dispatched-event trace is recorded when ``record_trace``
-    is set (replays of the same seeded scenario produce identical traces).
+    to a horizon, calling ``fn(*args)``.  Each queue entry is one tuple
+    (time, seq, tag, fn, args, data), so a model passes a bound method and
+    its arguments instead of building a closure per event.  The
+    dispatched-event trace is recorded when ``record_trace`` is set (replays
+    of the same seeded scenario produce identical traces).
     """
 
     def __init__(self, record_trace: bool = False):
         self.now = 0.0
         self.trace: list[Event] = []
         self.record_trace = record_trace
-        self._queue: list[tuple[float, int, Callable[[], None] | None, tuple]] = []
-        self._tags: dict[int, str] = {}
+        self._queue: list[tuple[float, int, str, Callable[..., None] | None, tuple, tuple]] = []
         self._seq = 0
 
     def schedule(
         self,
         tag: str,
         at: float,
-        fn: Callable[[], None] | None = None,
+        fn: Callable[..., None] | None = None,
         data: tuple = (),
+        args: tuple = (),
     ) -> int:
         if at < self.now:
             raise SchedulingInPast(f"cannot schedule {tag!r} at {at} (now {self.now})")
         seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._queue, (float(at), seq, fn, data))
-        self._tags[seq] = tag
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (float(at), seq, tag, fn, args, data))
         return seq
 
     def run_until(self, horizon: float) -> list[Event]:
         if horizon < self.now:
             raise ValueError(f"horizon {horizon} precedes clock {self.now}")
-        while self._queue and self._queue[0][0] <= horizon:
-            t, seq, fn, data = heapq.heappop(self._queue)
+        queue = self._queue
+        pop = heapq.heappop
+        trace = self.trace if self.record_trace else None
+        while queue and queue[0][0] <= horizon:
+            t, seq, tag, fn, args, data = pop(queue)
             self.now = t
-            tag = self._tags.pop(seq)
-            if self.record_trace:
-                self.trace.append(Event(t, seq, tag, data))
+            if trace is not None:
+                trace.append(Event(t, seq, tag, data))
             if fn is not None:
-                fn()
+                fn(*args)
         self.now = horizon
         return self.trace
 
@@ -244,7 +270,6 @@ class Simulator:
     def discard_pending(self) -> None:
         """Drop every event still queued, with the callbacks it holds."""
         self._queue.clear()
-        self._tags.clear()
 
 
 def trace_lines(trace: list[Event]) -> str:

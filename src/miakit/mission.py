@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance_all
@@ -54,6 +55,12 @@ class MissionSpec:
     checkpoints: tuple[float, ...] = ()
     deadline_per_item: float | None = None
     arrival_cutoff: float | None = None
+
+    @cached_property
+    def index(self) -> "MissionIndex":
+        """The tasks and roles numbered for the runtime, built on first use
+        and shared by every replication of this spec."""
+        return MissionIndex(self)
 
 
 @dataclass
@@ -129,6 +136,33 @@ def validate_mission(
     return replace(spec, tasks=tuple(ordered))
 
 
+class MissionIndex:
+    """A mission spec's tasks and roles as integers, for the runtime.
+
+    Task ``i`` is the i-th task of the spec (its workflow order, so the next
+    task is ``i + 1``); role ``r`` is the r-th key of ``personnel``.
+    """
+
+    def __init__(self, spec: MissionSpec):
+        self.task_ids = tuple(t.id for t in spec.tasks)
+        self.roles = tuple(spec.personnel)
+        self.headcount = tuple(spec.personnel[r] for r in self.roles)
+        role_of = {r: i for i, r in enumerate(self.roles)}
+        self.task_role = tuple(role_of[t.role] for t in spec.tasks)
+        self.durations = tuple(t.duration for t in spec.tasks)
+        self.reworks = tuple(t.rework_duration for t in spec.tasks)
+        self.required = tuple(t.required_assets for t in spec.tasks)
+        self.role_tasks = tuple(
+            tuple(i for i, r in enumerate(self.task_role) if r == role)
+            for role in range(len(self.roles))
+        )
+        needing: dict[str, list[int]] = {}
+        for i, assets in enumerate(self.required):
+            for asset in dict.fromkeys(assets):
+                needing.setdefault(asset, []).append(i)
+        self.tasks_needing = {a: tuple(ts) for a, ts in needing.items()}
+
+
 def compute_utilization(spec: MissionSpec) -> dict:
     """Analytic offered load per role: arrival rate x mean work / headcount."""
     rate = 1.0 / spec.arrivals.mean()
@@ -143,7 +177,8 @@ def apply_checkpoint(items: Iterable[WorkItem]) -> list[WorkItem]:
 
     Every tainted item's taint is detected and cleared; those items are
     returned as the rework set (the caller adds the rework effort).
-    Untainted items pass.  Detection is unconditional.
+    Untainted items pass.  Detection is unconditional.  Only the ``tainted``
+    flag is read, so the runtime passes its live items.
     """
     rework: list[WorkItem] = []
     for item in items:
@@ -153,11 +188,56 @@ def apply_checkpoint(items: Iterable[WorkItem]) -> list[WorkItem]:
     return rework
 
 
-@dataclass
+class _Item:
+    """A work item while the run is in progress.
+
+    ``task`` is the current task's index (the task count once done); the
+    per-task work figures are lists by task index.  :meth:`result` gives the
+    :class:`WorkItem` that the run reports.
+    """
+
+    __slots__ = (
+        "id", "created_at", "stream", "task", "tainted", "taint_sources",
+        "completed_at", "outcome", "sampled", "rework", "processed", "remaining",
+    )
+
+    def __init__(self, item_id: int, created_at: float, stream: RngStream, sampled: list):
+        self.id = item_id
+        self.created_at = created_at
+        self.stream = stream
+        self.task = 0
+        self.tainted = False
+        self.taint_sources: set = set()
+        self.completed_at: float | None = None
+        self.outcome = "in_progress"
+        self.sampled = sampled
+        self.rework = [0.0] * len(sampled)
+        self.processed = [0.0] * len(sampled)
+        self.remaining = sampled[:]
+
+    def result(self, task_ids: tuple[str, ...]) -> WorkItem:
+        return WorkItem(
+            id=self.id,
+            created_at=self.created_at,
+            current_task=task_ids[self.task] if self.task < len(task_ids) else "done",
+            tainted=self.tainted,
+            taint_sources=self.taint_sources,
+            completed_at=self.completed_at,
+            outcome=self.outcome,
+            work={
+                tid: TaskWork(sampled, rework, processed, remaining)
+                for tid, sampled, rework, processed, remaining in zip(
+                    task_ids, self.sampled, self.rework, self.processed, self.remaining
+                )
+            },
+        )
+
+
+@dataclass(slots=True)
 class _Run:
-    item_id: int
-    task_id: str
-    role: str
+    item: _Item
+    task: int
+    role: int
     seized_at: float
     last_update: float
     factor: float
@@ -168,7 +248,8 @@ class MissionRuntime:
     """Event-driven execution of one mission replication on a kernel.
 
     ``spec`` must come from :func:`validate_mission` against the graph's
-    topology; it is used as given, not validated again.
+    topology; it is used as given, not validated again.  Tasks and roles
+    are read through ``spec.index``, which every replication shares.
     """
 
     def __init__(
@@ -183,27 +264,28 @@ class MissionRuntime:
         self.sim = sim
         self.streams = streams
         self.arrival_stream = streams.stream(StreamFactory.ARRIVALS)
+        self.index = ix = spec.index
+        n = len(ix.task_ids)
 
-        self.tasks = {t.id: t for t in self.spec.tasks}
-        self.order = [t.id for t in self.spec.tasks]
-        self.items: dict[int, WorkItem] = {}
-        self.item_streams: dict[int, RngStream] = {}
-        self.queues: dict[str, deque[int]] = {t: deque() for t in self.order}
+        self.items: dict[int, _Item] = {}
+        self.queues: list[deque[_Item]] = [deque() for _ in range(n)]
         self.runs: dict[int, _Run] = {}
-        self.active_by_task: dict[str, set[int]] = {t: set() for t in self.order}
-        self.free: dict[str, int] = dict(self.spec.personnel)
-        self.busy_seconds: dict[str, float] = {r: 0.0 for r in self.spec.personnel}
+        self.free = list(ix.headcount)
+        self.busy_seconds = [0.0] * len(ix.roles)
 
-        self.factors: dict[str, float] = {}
-        self.blocked_since: dict[str, float | None] = {t: None for t in self.order}
-        self.blocked_total: dict[str, float] = {t: 0.0 for t in self.order}
+        self.factors = [0.0] * n
+        self.blocked_since: list[float | None] = [None] * n
+        self.blocked_total = [0.0] * n
 
-        self.completed_today: list[int] = []
+        self.completed_today: list[_Item] = []
         self.awareness = False
         self.awareness_time: float | None = None
         self.checkpoint_log: list = []
         self._task_start_hooks: list[Callable[[str, int, float], None]] = []
         self._next_item = 1
+        self._arrival_end = (
+            spec.horizon if spec.arrival_cutoff is None else min(spec.arrival_cutoff, spec.horizon)
+        )
         self._finalized = False
 
     # -- wiring --------------------------------------------------------------
@@ -212,7 +294,7 @@ class MissionRuntime:
         self.graph.subscribe(self._on_state_change)
         self._refresh_factors(initial=True)
         first = sample(self.spec.arrivals, self.arrival_stream)
-        if first <= self._arrival_end():
+        if first <= self._arrival_end:
             self.sim.schedule("arrival", first, self._arrive)
         day_count = int(self.spec.horizon // self.spec.day_length) + 1
         for day in range(day_count):
@@ -220,9 +302,7 @@ class MissionRuntime:
             for cp in sorted(self.spec.checkpoints):
                 t = base + cp
                 if 0 < t <= self.spec.horizon:
-                    self.sim.schedule(
-                        "checkpoint", t, lambda t=t: self._checkpoint(t), data=(t,)
-                    )
+                    self.sim.schedule("checkpoint", t, self._checkpoint, data=(t,), args=(t,))
             day_end = base + self.spec.day_length
             if day_end <= self.spec.horizon:
                 self.sim.schedule("day_end", day_end, self._finalize_day)
@@ -250,73 +330,78 @@ class MissionRuntime:
             self._add_rework(item)
 
     # -- arrival and service ---------------------------------------------------
-
-    def _arrival_end(self) -> float:
-        if self.spec.arrival_cutoff is None:
-            return self.spec.horizon
-        return min(self.spec.arrival_cutoff, self.spec.horizon)
+    #
+    # A dispatch call is skipped where its loop would not run: an empty
+    # queue, no free person of the role, or a blocked task.
 
     def _arrive(self) -> None:
         now = self.sim.now
         item_id = self._next_item
-        self._next_item += 1
+        self._next_item = item_id + 1
         stream = self.streams.item_stream(item_id)
-        item = WorkItem(id=item_id, created_at=now, current_task=self.order[0])
-        for task in self.spec.tasks:
-            drawn = sample(task.duration, stream)
-            item.work[task.id] = TaskWork(sampled=drawn, remaining=drawn)
+        item = _Item(item_id, now, stream, [sample(d, stream) for d in self.index.durations])
         self.items[item_id] = item
-        self.item_streams[item_id] = stream
-        self.queues[self.order[0]].append(item_id)
+        self.queues[0].append(item)
         if self.spec.deadline_per_item is not None:
             self.sim.schedule(
                 "deadline",
                 now + self.spec.deadline_per_item,
-                lambda i=item_id: self._deadline(i),
+                self._deadline,
                 data=(item_id,),
+                args=(item,),
             )
-        self._dispatch_task(self.order[0])
+        if self.free[self.index.task_role[0]] > 0 and self.factors[0] > 0:
+            self._dispatch_task(0)
         nxt = now + sample(self.spec.arrivals, self.arrival_stream)
-        if nxt <= self._arrival_end():
+        if nxt <= self._arrival_end:
             self.sim.schedule("arrival", nxt, self._arrive)
 
-    def _dispatch_role(self, role: str) -> None:
-        for task_id in self.order:
-            if self.tasks[task_id].role == role:
-                self._dispatch_task(task_id)
+    def _dispatch_role(self, role: int) -> None:
+        free = self.free
+        queues = self.queues
+        factors = self.factors
+        for task in self.index.role_tasks[role]:
+            if free[role] == 0:
+                return
+            if queues[task] and factors[task] > 0:
+                self._dispatch_task(task)
 
-    def _dispatch_task(self, task_id: str) -> None:
-        task = self.tasks[task_id]
-        queue = self.queues[task_id]
-        while queue and self.free[task.role] > 0 and self.factors[task_id] > 0:
-            item_id = queue.popleft()
-            item = self.items[item_id]
-            if item.outcome != "in_progress" or item.current_task != task_id:
-                continue
-            self._start_service(item, task)
-
-    def _start_service(self, item: WorkItem, task: TaskSpec) -> None:
+    def _dispatch_task(self, task: int) -> None:
+        """Start queued items on ``task`` while a person is free and the task
+        is not blocked; items abandoned or moved on since are dropped."""
+        queue = self.queues[task]
+        role = self.index.task_role[task]
+        required = self.index.required[task]
+        free = self.free
+        factors = self.factors
         now = self.sim.now
-        self.free[task.role] -= 1
-        run = _Run(item.id, task.id, task.role, now, now, self.factors[task.id])
-        self.runs[item.id] = run
-        self.active_by_task[task.id].add(item.id)
-        self._check_taint(item, task)
-        for hook in list(self._task_start_hooks):
-            hook(task.id, item.id, now)
-        self._schedule_completion(run)
+        while queue and free[role] > 0 and factors[task] > 0:
+            item = queue.popleft()
+            if item.outcome != "in_progress" or item.task != task:
+                continue
+            free[role] -= 1
+            run = _Run(item, task, role, now, now, factors[task])
+            self.runs[item.id] = run
+            if required:
+                self._check_taint(item, task)
+            if self._task_start_hooks:
+                task_id = self.index.task_ids[task]
+                for hook in list(self._task_start_hooks):
+                    hook(task_id, item.id, now)
+            self._schedule_completion(run)
 
     def _schedule_completion(self, run: _Run) -> None:
         run.generation += 1
-        work = self.items[run.item_id].work[run.task_id]
         if run.factor <= 0:
             return
-        eta = self.sim.now + work.remaining / run.factor
+        item = run.item
+        eta = self.sim.now + item.remaining[run.task] / run.factor
         self.sim.schedule(
             "task_complete",
             eta,
-            lambda r=run, g=run.generation: self._complete(r, g),
-            data=(run.item_id, run.task_id),
+            self._complete,
+            data=(item.id, self.index.task_ids[run.task]),
+            args=(run, run.generation),
         )
 
     def _settle(self, run: _Run) -> None:
@@ -324,103 +409,102 @@ class MissionRuntime:
         now = self.sim.now
         if run.factor > 0 and now > run.last_update:
             done = (now - run.last_update) * run.factor
-            work = self.items[run.item_id].work[run.task_id]
-            done = min(done, work.remaining)
-            work.processed += done
-            work.remaining -= done
+            item = run.item
+            task = run.task
+            done = min(done, item.remaining[task])
+            item.processed[task] += done
+            item.remaining[task] -= done
         run.last_update = now
 
-    def _check_taint(self, item: WorkItem, task: TaskSpec) -> None:
-        for asset in task.required_assets:
-            if self.graph.states[asset].mode == "integrity_compromised":
+    def _check_taint(self, item: _Item, task: int) -> None:
+        states = self.graph.states
+        for asset in self.index.required[task]:
+            if states[asset].mode == "integrity_compromised":
                 item.tainted = True
                 item.taint_sources.add(asset)
 
     def _complete(self, run: _Run, generation: int) -> None:
-        if self.runs.get(run.item_id) is not run or run.generation != generation:
+        item = run.item
+        if run.generation != generation or self.runs.get(item.id) is not run:
             return
-        item = self.items[run.item_id]
-        task = self.tasks[run.task_id]
-        work = item.work[run.task_id]
-        work.processed += work.remaining
-        work.remaining = 0.0
-        run.last_update = self.sim.now
+        task = run.task
+        remaining = item.remaining
+        item.processed[task] += remaining[task]
+        remaining[task] = 0.0
+        now = run.last_update = self.sim.now
 
         if item.tainted and self.awareness:
             # Aware personnel re-validate on the spot instead of handing
             # corrupted output downstream.
-            drawn = sample(task.rework_duration, self.item_streams[item.id])
+            drawn = sample(self.index.reworks[task], item.stream)
             if drawn > 0:
                 item.tainted = False
-                work.rework += drawn
-                work.remaining += drawn
-                self._check_taint(item, task)
+                item.rework[task] += drawn
+                remaining[task] += drawn
+                if self.index.required[task]:
+                    self._check_taint(item, task)
                 self._schedule_completion(run)
                 return
 
         self._release(run)
-        idx = self.order.index(run.task_id)
-        if idx + 1 < len(self.order):
-            item.current_task = self.order[idx + 1]
-            self.queues[item.current_task].append(item.id)
-            self._dispatch_task(item.current_task)
+        nxt = item.task = task + 1
+        if nxt < len(remaining):
+            self.queues[nxt].append(item)
+            if self.free[self.index.task_role[nxt]] > 0 and self.factors[nxt] > 0:
+                self._dispatch_task(nxt)
         else:
-            item.current_task = "done"
-            item.completed_at = self.sim.now
-            self.completed_today.append(item.id)
-        self._dispatch_role(run.role)
+            item.completed_at = now
+            self.completed_today.append(item)
+        if self.free[run.role] > 0:
+            self._dispatch_role(run.role)
 
     def _release(self, run: _Run) -> None:
         self.busy_seconds[run.role] += self.sim.now - run.seized_at
         self.free[run.role] += 1
-        self.active_by_task[run.task_id].discard(run.item_id)
-        del self.runs[run.item_id]
+        del self.runs[run.item.id]
 
-    def _deadline(self, item_id: int) -> None:
-        item = self.items[item_id]
+    def _deadline(self, item: _Item) -> None:
         if item.completed_at is not None or item.outcome != "in_progress":
             return
         item.outcome = "abandoned"
-        run = self.runs.get(item_id)
+        run = self.runs.get(item.id)
         if run is not None:
             self._settle(run)
             run.generation += 1
-            role = run.role
             self._release(run)
-            self._dispatch_role(role)
+            self._dispatch_role(run.role)
 
     # -- rework and checkpoints ------------------------------------------------
 
-    def _add_rework(self, item: WorkItem) -> None:
+    def _add_rework(self, item: _Item) -> None:
         """Charge the item's current task with its rework effort."""
         if item.completed_at is not None:
-            last = self.order[-1]
-            item.current_task = last
+            last = len(item.remaining) - 1
+            item.task = last
             item.completed_at = None
-            if item.id in self.completed_today:
-                self.completed_today.remove(item.id)
-            drawn = sample(self.tasks[last].rework_duration, self.item_streams[item.id])
-            item.work[last].rework += drawn
-            item.work[last].remaining += drawn
-            self.queues[last].append(item.id)
+            if item in self.completed_today:
+                self.completed_today.remove(item)
+            drawn = sample(self.index.reworks[last], item.stream)
+            item.rework[last] += drawn
+            item.remaining[last] += drawn
+            self.queues[last].append(item)
             self._dispatch_task(last)
             return
-        task_id = item.current_task
-        drawn = sample(self.tasks[task_id].rework_duration, self.item_streams[item.id])
-        work = item.work[task_id]
-        work.rework += drawn
-        work.remaining += drawn
+        task = item.task
+        drawn = sample(self.index.reworks[task], item.stream)
+        item.rework[task] += drawn
+        item.remaining[task] += drawn
         run = self.runs.get(item.id)
         if run is not None:
             self._settle(run)
             self._schedule_completion(run)
 
     def _checkpoint(self, at: float) -> None:
+        today = set(self.completed_today)
         examined = [
             i
             for i in self.items.values()
-            if i.outcome == "in_progress"
-            and (i.completed_at is None or i.id in self.completed_today)
+            if i.outcome == "in_progress" and (i.completed_at is None or i in today)
         ]
         rework = apply_checkpoint(examined)
         self.checkpoint_log.append((at, "checkpoint", len(rework)))
@@ -428,53 +512,50 @@ class MissionRuntime:
             self._add_rework(item)
 
     def _finalize_day(self) -> None:
-        for item_id in self.completed_today:
-            item = self.items[item_id]
+        for item in self.completed_today:
             item.outcome = "completed_corrupted" if item.tainted else "completed_clean"
         self.completed_today = []
 
     # -- infrastructure coupling ------------------------------------------------
 
-    def _task_factor(self, task: TaskSpec, perf: dict) -> float:
-        if not task.required_assets:
-            return 1.0
-        return min(perf[a] for a in task.required_assets)
+    def _active_runs(self, task: int) -> list[_Run]:
+        """The task's runs in progress, by item id."""
+        return sorted(
+            (run for run in self.runs.values() if run.task == task), key=lambda run: run.item.id
+        )
 
     def _refresh_factors(self, initial: bool = False) -> None:
         perf = effective_performance_all(self.graph)
         now = self.sim.now
-        for task in self.spec.tasks:
-            new_f = self._task_factor(task, perf)
-            old_f = self.factors.get(task.id)
-            self.factors[task.id] = new_f
+        for task, assets in enumerate(self.index.required):
+            new_f = min(perf[a] for a in assets) if assets else 1.0
+            old_f = self.factors[task]
+            self.factors[task] = new_f
             if initial:
                 if new_f == 0:
-                    self.blocked_since[task.id] = now
+                    self.blocked_since[task] = now
                 continue
             if old_f == new_f:
                 continue
             if old_f == 0 and new_f > 0:
-                self.blocked_total[task.id] += now - self.blocked_since[task.id]
-                self.blocked_since[task.id] = None
+                self.blocked_total[task] += now - self.blocked_since[task]
+                self.blocked_since[task] = None
             elif old_f > 0 and new_f == 0:
-                self.blocked_since[task.id] = now
-            for item_id in sorted(self.active_by_task[task.id]):
-                run = self.runs[item_id]
+                self.blocked_since[task] = now
+            for run in self._active_runs(task):
                 self._settle(run)
                 run.factor = new_f
                 self._schedule_completion(run)
             if new_f > 0 and old_f == 0:
-                self._dispatch_task(task.id)
+                self._dispatch_task(task)
 
     def _on_state_change(self, change: StateChange) -> None:
         self._refresh_factors()
         if change.new.mode == "integrity_compromised":
-            for task in self.spec.tasks:
-                if change.asset_id in task.required_assets:
-                    for item_id in sorted(self.active_by_task[task.id]):
-                        item = self.items[item_id]
-                        item.tainted = True
-                        item.taint_sources.add(change.asset_id)
+            for task in self.index.tasks_needing.get(change.asset_id, ()):
+                for run in self._active_runs(task):
+                    run.item.tainted = True
+                    run.item.taint_sources.add(change.asset_id)
 
     # -- results -----------------------------------------------------------------
 
@@ -482,24 +563,24 @@ class MissionRuntime:
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
         self._finalized = True
+        ix = self.index
         horizon = self.spec.horizon
         self._finalize_day()
         for run in self.runs.values():
             self._settle(run)
             self.busy_seconds[run.role] += horizon - run.seized_at
-        for task_id, since in self.blocked_since.items():
+        for task, since in enumerate(self.blocked_since):
             if since is not None:
-                self.blocked_total[task_id] += horizon - since
-                self.blocked_since[task_id] = None
+                self.blocked_total[task] += horizon - since
+                self.blocked_since[task] = None
         utilization = {
-            role: self.busy_seconds[role] / (self.spec.personnel[role] * horizon)
-            for role in self.spec.personnel
+            role: busy / (count * horizon)
+            for role, busy, count in zip(ix.roles, self.busy_seconds, ix.headcount)
         }
-        items = [self.items[k] for k in sorted(self.items)]
         return MissionResult(
-            items=items,
+            items=[i.result(ix.task_ids) for i in self.items.values()],
             task_utilization=utilization,
-            blocked_time=dict(self.blocked_total),
+            blocked_time=dict(zip(ix.task_ids, self.blocked_total)),
             awareness_time=self.awareness_time,
             checkpoint_log=list(self.checkpoint_log),
         )

@@ -344,10 +344,7 @@ class DefenderRuntime:
                 self.found.append(host)
                 delay = sample(self.spec.remediation_per_host, self.stream)
                 self.sim.schedule(
-                    "remediation",
-                    now + delay,
-                    lambda h=host: self._remediate(h),
-                    data=(host,),
+                    "remediation", now + delay, self._remediate, data=(host,), args=(host,)
                 )
         if any(h not in self.found for h in self.attacker.foothold):
             self._schedule_pass()

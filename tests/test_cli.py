@@ -402,6 +402,17 @@ class TestCliSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: mission.tasks[0].duration")
 
+    def test_degenerate_triangular_rejected_at_load(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["mission"]["tasks"][0]["duration"] = {"triangular": [30, 30, 30]}
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: mission.tasks[0].duration: triangular requires low < high")
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize(
         "section,key,value,field",
         [
@@ -526,6 +537,27 @@ class TestCliPropagateAndReport:
         err = capsys.readouterr().err.splitlines()
         where = "mission.tasks" if nested else "tasks"
         assert err == [f"error: {where}[1].id: missing required field"]
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_propagate_tasks_not_a_list_names_the_field(self, tmp_path, capsys, nested):
+        doc = {"mission": {"tasks": 5}} if nested else {"tasks": 5}
+        mpath = tmp_path / "mission.yaml"
+        mpath.write_text(yaml.safe_dump(doc))
+        rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                   "--compromised", "plandb", "--mission", str(mpath)])
+        assert rc == 1
+        where = "mission.tasks" if nested else "tasks"
+        assert capsys.readouterr().err.splitlines() == [f"error: {where}: must be a list"]
+
+    def test_propagate_requires_not_a_list_names_the_field(self, tmp_path, capsys):
+        mpath = tmp_path / "mission.yaml"
+        mpath.write_text(yaml.safe_dump({"tasks": [{"id": "t1", "requires": "plandb"}]}))
+        rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                   "--compromised", "plandb", "--mission", str(mpath)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tasks[0].requires: must be a list"
+        ]
 
     def test_propagate_root_asset_impacts_every_task(self, tmp_path):
         graph_doc = {

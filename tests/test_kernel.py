@@ -1,8 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from miakit import seeding
 from miakit.kernel import (
     Distribution,
     InvalidDistribution,
@@ -101,6 +105,8 @@ class TestDistributions:
         with pytest.raises(InvalidDistribution):
             Distribution.triangular(3, 2, 1)
         with pytest.raises(InvalidDistribution):
+            Distribution.triangular(30, 30, 30)
+        with pytest.raises(InvalidDistribution):
             Distribution("weibull", (1.0,))
 
     def test_exponential_mean_within_two_percent(self):
@@ -148,6 +154,94 @@ class TestStreams:
         f1 = StreamFactory(42, 1).stream(1).random()
         assert f0 == f0_again
         assert f0 != f1
+
+
+# ``+ 0.0`` turns -0.0 into 0.0: NumPy refuses a uniform range of -0.0
+# (``high - low < 0``), which a spec can reach only as ``uniform: [0, -0]``.
+_finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+
+
+@st.composite
+def _triangles(draw):
+    low, high = sorted(draw(st.tuples(_finite, _finite)))
+    if low == high:
+        high = low + 1.0
+    mode = draw(st.one_of(st.just(low), st.just(high), st.floats(low, high)))
+    return low, mode, high
+
+
+class TestDrawFormulas:
+    """RngStream computes uniform and triangular draws in Python; each must
+    equal NumPy's ``Generator`` value on the same PCG64 state, and leave the
+    state where NumPy leaves it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**32 - 1),
+        uniforms=st.lists(st.tuples(_finite, _finite).map(sorted), min_size=1, max_size=4),
+        triangles=st.lists(_triangles(), min_size=1, max_size=4),
+    )
+    def test_equal_numpy_draws_and_state(self, seed, stream_id, uniforms, triangles):
+        ours = RngStream(seed, stream_id)
+        ref = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((seed, stream_id)))
+        )
+        for (low, high), tri in zip(uniforms * 4, triangles * 4):
+            # float.hex tells 0.0 from -0.0, so the values match bit for bit.
+            assert ours.uniform(low, high).hex() == float(ref.uniform(low, high)).hex()
+            assert ours.triangular(*tri).hex() == float(ref.triangular(*tri)).hex()
+        assert ours._gen.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_state(seed: int, stream_id: int) -> dict:
+    return np.random.PCG64(np.random.SeedSequence((seed, stream_id))).state
+
+
+class TestItemStreamSeeds:
+    """Item streams seeded in blocks must start from exactly the PCG64 state
+    of ``SeedSequence((rep_seed, 1_000_000 + item_id))``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base_seed=st.integers(0, 2**63 - 1),
+        replication=st.integers(0, 10_000),
+        runs=st.lists(
+            st.tuples(st.integers(1, 5_000), st.integers(1, 400)), min_size=1, max_size=3
+        ),
+    )
+    def test_item_streams_match_seed_sequence(self, base_seed, replication, runs):
+        factory = StreamFactory(base_seed, replication)
+        # Runs of consecutive ids (as the mission asks for them), with jumps
+        # between runs that land inside, before and past the current block.
+        for first, length in runs:
+            for item_id in range(first, first + length):
+                stream = factory.item_stream(item_id)
+                assert stream.stream_id == 1_000_000 + item_id
+                expected = _reference_state(factory._rep_seed, 1_000_000 + item_id)
+                assert stream._gen.bit_generator.state == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entropy=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        copies=st.integers(1, 5),
+    )
+    def test_block_hash_matches_seed_sequence(self, entropy, copies):
+        columns = [np.full(copies, w, dtype=np.uint32) for w in entropy]
+        got = seeding.pcg64_seeds(columns)
+        want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert got.shape == (copies, 4)
+        assert all((row == want).all() for row in got)
+
+    @pytest.mark.parametrize("rep_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_small_and_edge_replication_seeds(self, rep_seed):
+        seeds = seeding.ItemSeeds(rep_seed)
+        for stream_id in range(1_000_001, 1_000_200):
+            seed = seeds.get(stream_id)
+            state = np.random.PCG64(seed).state if seed is not None else None
+            if state is not None:
+                assert state == _reference_state(rep_seed, stream_id)
+        assert seed is not None  # the block path was taken
 
 
 class _StubScenario:

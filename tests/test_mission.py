@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from miakit import kernel as kernel_mod
+from miakit import mission as mission_mod
 from miakit.infrastructure import AssetState, build_graph, set_state
 from miakit.kernel import Distribution, Simulator, StreamFactory
 from miakit.mission import (
     CyclicPrecedence,
+    MissionIndex,
     MissionRuntime,
     MissionSpec,
     TaskSpec,
@@ -296,3 +299,84 @@ class TestCommonRandomNumbers:
         for seed in range(8):
             counts = [completions(d, seed) for d in (0, 500, 1000, 2000, 3500)]
             assert counts == sorted(counts, reverse=True)
+
+
+class TestMissionIndex:
+    def test_roles_and_tasks_numbered_in_spec_order(self):
+        s = validate_mission(spec(
+            [task("c", 1, role="b", after=["a"]), task("a", 1, role="a"),
+             task("d", 1, role="a", requires=["x", "x", "y"], after=["c"])],
+            10,
+            personnel={"a": 1, "b": 2},
+        ))
+        ix = s.index
+        assert ix.task_ids == ("a", "c", "d")
+        assert ix.roles == ("a", "b") and ix.headcount == (1, 2)
+        assert ix.task_role == (0, 1, 0)
+        assert ix.role_tasks == ((0, 2), (1,))
+        assert ix.tasks_needing == {"x": (2,), "y": (2,)}
+
+    def test_built_once_per_scenario(self, monkeypatch):
+        from miakit.scenario import bundled_path, load_scenario
+
+        built = []
+        real_init = MissionIndex.__init__
+
+        def counting(self, spec_):
+            built.append(spec_)
+            real_init(self, spec_)
+
+        monkeypatch.setattr(MissionIndex, "__init__", counting)
+        sc = load_scenario(bundled_path("checkpoint.yaml"))
+        for k in range(3):
+            sc.run_replication(k, sc.base_seed)
+            sc.without_attack().run_replication(k, sc.base_seed)
+        assert len(built) == 1
+
+
+class TestTracedEntryPoints:
+    """The benchmark's tracer counts calls of ``StreamFactory.item_stream``,
+    ``Simulator.schedule`` and ``kernel.sample`` by replacing them from
+    outside; the runtime must keep going through those names."""
+
+    def test_one_item_stream_per_item_and_one_schedule_per_event(self, monkeypatch):
+        from miakit.scenario import bundled_path, load_scenario
+
+        counts = {"item_stream": 0, "schedule": 0, "sample": 0, "left": 0}
+        real = {
+            "item_stream": StreamFactory.item_stream,
+            "schedule": Simulator.schedule,
+            "discard": Simulator.discard_pending,
+            "sample": kernel_mod.sample,
+        }
+
+        def item_stream(self, item_id):
+            counts["item_stream"] += 1
+            return real["item_stream"](self, item_id)
+
+        def schedule(self, *args, **kwargs):
+            counts["schedule"] += 1
+            return real["schedule"](self, *args, **kwargs)
+
+        def discard_pending(self):
+            counts["left"] += self.pending()
+            real["discard"](self)
+
+        def sample(dist, stream):
+            counts["sample"] += 1
+            return real["sample"](dist, stream)
+
+        monkeypatch.setattr(StreamFactory, "item_stream", item_stream)
+        monkeypatch.setattr(Simulator, "schedule", schedule)
+        monkeypatch.setattr(Simulator, "discard_pending", discard_pending)
+        monkeypatch.setattr(mission_mod, "sample", sample)
+        sc = load_scenario(bundled_path("checkpoint.yaml"))
+        _, result, _, trace = sc.run_detailed(0, sc.base_seed, record_trace=True)
+
+        assert result.items
+        assert counts["item_stream"] == len(result.items)
+        assert counts["schedule"] == len(trace) + counts["left"]
+        # Every task duration of every item, and each arrival, is drawn
+        # through the module's ``sample``.
+        n_tasks = len(sc.mission.tasks)
+        assert counts["sample"] >= len(result.items) * (n_tasks + 1)

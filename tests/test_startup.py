@@ -105,3 +105,36 @@ def test_fallback_loader_reports_malformed_yaml(pure_python_loader, tmp_path):
         read_yaml(str(bad))
     assert str(err.value).startswith(f"{bad}: YAML error: ")
     assert "\n" not in str(err.value)
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+import miakit.cli as cli
+from miakit.scenario import bundled_path
+
+out, ck = sys.argv[1], bundled_path("checkpoint.yaml")
+for argv in (
+    ["discover", "--flows", out + "/flows.csv", "--out", out + "/deps.yaml"],
+    ["propagate", "--graph", ck, "--compromised", "plandb", "--mission", ck,
+     "--out", out + "/impact.yaml"],
+):
+    assert cli.main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_discover_and_propagate_do_not_load_numpy_random(tmp_path):
+    # numpy.random costs a few MB of resident memory; only commands that
+    # draw random numbers (simulate, gen-flows) should load it.
+    from miakit.cli import main
+
+    assert main(["gen-flows", "--topology", bundled_path("cascade_clean.yaml"), "--seed", "3",
+                 "--out", str(tmp_path / "flows.csv")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE, str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
