@@ -16,9 +16,16 @@ import sys
 import yaml
 
 from . import discovery, flows, metrics, synth
-from .infrastructure import GraphError, build_graph, propagate_static_impact
+from .infrastructure import GraphError, InfrastructureGraph, build_graph, propagate_static_impact
 from .kernel import run_replications
-from .scenario import ParseError, ValidationError, _list, load_scenario, read_yaml
+from .scenario import (
+    ParseError,
+    ValidationError,
+    _list,
+    infrastructure_of,
+    load_scenario,
+    read_yaml,
+)
 
 _DOMAIN_ERRORS = (
     ParseError,
@@ -204,9 +211,12 @@ def _load_bindings(path: str) -> dict:
 
 def cmd_propagate(args: argparse.Namespace) -> int:
     graph_doc = read_yaml(args.graph)
-    if isinstance(graph_doc, dict) and "infrastructure" in graph_doc:
-        graph_doc = graph_doc["infrastructure"]
-    graph = build_graph(graph_doc or {})
+    if graph_doc is not None and not isinstance(graph_doc, dict):
+        raise ParseError(args.graph, "graph document must be a mapping")
+    if graph_doc and "infrastructure" in graph_doc:
+        graph = InfrastructureGraph(infrastructure_of(graph_doc)[1])
+    else:
+        graph = build_graph(graph_doc or {})
     compromised = [c for c in (args.compromised or "").split(",") if c]
     bindings = _load_bindings(args.mission)
     report = propagate_static_impact(graph, compromised, bindings)

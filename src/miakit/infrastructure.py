@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
+from .fields import _list, _mapping, _require
+
 ASSET_KINDS = frozenset(
     {"device", "service", "application", "end_user_node", "external_link"}
 )
@@ -327,13 +329,35 @@ def _reevaluate(
                 heapq.heappush(pending, j)
 
 
+# The keys every entry of each graph document list must have.
+_GRAPH_LISTS = {"assets": ("id",), "edges": ("from", "to"), "vulnerabilities": ("asset", "exploit")}
+
+
+def graph_lists(spec: Mapping) -> dict[str, list]:
+    """The ``assets``, ``edges`` and ``vulnerabilities`` of a graph document,
+    each checked to be a list (absent or null reads as empty) of mappings
+    with the keys an entry needs: ``id``, ``from``/``to``, ``asset``/``exploit``.
+    A wrong field is a :class:`~miakit.fields.ValidationError` naming its
+    path in the document, such as ``edges`` or ``assets[3].id``."""
+    checked = {}
+    for key, needs in _GRAPH_LISTS.items():
+        entries = _list(spec.get(key), key)
+        for i, entry in enumerate(entries):
+            entry = _mapping(entry, f"{key}[{i}]")
+            for need in needs:
+                _require(entry, need, f"{key}[{i}]")
+        checked[key] = list(entries)
+    return checked
+
+
 def build_topology(spec: Mapping) -> Topology:
     """Build and validate a topology from its structured description.
 
     ``spec`` mirrors the ``infrastructure`` section of a scenario document:
     ``assets`` (id/kind/name/subnet), ``edges`` (from/to/kind/group)
-    and ``vulnerabilities`` (asset/exploit).
+    and ``vulnerabilities`` (asset/exploit), read through :func:`graph_lists`.
     """
+    doc = graph_lists(spec)
     return Topology(
         (
             Asset(
@@ -342,7 +366,7 @@ def build_topology(spec: Mapping) -> Topology:
                 name=str(entry.get("name", entry["id"])),
                 subnet=entry.get("subnet"),
             )
-            for entry in spec.get("assets", []) or []
+            for entry in doc["assets"]
         ),
         (
             DependencyEdge(
@@ -351,11 +375,11 @@ def build_topology(spec: Mapping) -> Topology:
                 kind=str(entry.get("kind", "declared")),
                 group=entry.get("group"),
             )
-            for entry in spec.get("edges", []) or []
+            for entry in doc["edges"]
         ),
         (
             Vulnerability(asset_id=str(entry["asset"]), exploit_id=str(entry["exploit"]))
-            for entry in spec.get("vulnerabilities", []) or []
+            for entry in doc["vulnerabilities"]
         ),
     )
 

@@ -18,21 +18,28 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance_all
-from .kernel import Distribution, RngStream, Simulator, StreamFactory, sample
+from .kernel import Distribution, Simulator, StreamFactory, sample
 
 
-class CyclicPrecedence(Exception):
+class MissionError(ValueError):
+    """An invalid mission spec; ``field`` is the offending field's path."""
+
+    def __init__(self, fieldname: str, reason: str):
+        super().__init__(f"{fieldname}: {reason}")
+        self.field = fieldname
+        self.reason = reason
+
+
+class CyclicPrecedence(MissionError):
     pass
 
 
-class UnknownRole(Exception):
+class UnknownRole(MissionError):
     pass
 
 
-class UnknownAssetBinding(Exception):
-    def __init__(self, task_id: str, asset: str):
-        super().__init__(f"task {task_id!r} bound to unknown asset {asset!r}")
-        self.task_id = task_id
+class UnknownAssetBinding(MissionError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -72,19 +79,10 @@ class TaskWork:
 
 
 @dataclass
-class WorkItem:
-    id: int
-    created_at: float
-    current_task: str
-    tainted: bool = False
-    taint_sources: set = field(default_factory=set)
-    completed_at: float | None = None
-    outcome: str = "in_progress"
-    work: dict = field(default_factory=dict)
-
-
-@dataclass
 class MissionResult:
+    """The outcome of one mission run.  ``items`` are the runtime's own
+    :class:`WorkItem` objects in arrival order, not copies."""
+
     items: list
     task_utilization: dict
     blocked_time: dict
@@ -98,25 +96,26 @@ def validate_mission(
     """Check references, compute a topological task order, return the
     normalized spec (tasks reordered so predecessors always come first)."""
     by_id = {}
-    for task in spec.tasks:
+    for i, task in enumerate(spec.tasks):
         if task.id in by_id:
-            raise ValueError(f"duplicate task id {task.id!r}")
+            raise MissionError(f"tasks[{i}].id", f"duplicate task id {task.id!r}")
         by_id[task.id] = task
     for task in spec.tasks:
         for pred in task.predecessors:
             if pred not in by_id:
-                raise ValueError(f"task {task.id!r} names unknown predecessor {pred!r}")
+                raise MissionError(f"tasks[{task.id}].after", f"unknown predecessor {pred!r}")
         if task.role not in spec.personnel:
-            raise UnknownRole(f"task {task.id!r} needs role {task.role!r} with no headcount")
+            raise UnknownRole(f"tasks[{task.id}].role", f"role {task.role!r} has no headcount")
         if spec.personnel[task.role] < 1:
-            raise ValueError(f"role {task.role!r} must have headcount >= 1")
+            raise MissionError(f"personnel.{task.role}", "headcount must be >= 1")
         if graph is not None:
             for asset in task.required_assets:
                 if asset not in graph.assets:
-                    raise UnknownAssetBinding(task.id, asset)
+                    why = f"task {task.id!r} bound to unknown asset {asset!r}"
+                    raise UnknownAssetBinding(f"tasks[{task.id}].requires", why)
     for cp in spec.checkpoints:
         if not (0 <= cp < spec.day_length):
-            raise ValueError(f"checkpoint {cp} outside [0, day_length)")
+            raise MissionError("checkpoints", f"checkpoint {cp} outside [0, day_length)")
 
     ordered: list[TaskSpec] = []
     placed: set[str] = set()
@@ -132,7 +131,7 @@ def validate_mission(
                 break
         if not progressed:
             cyc = sorted(t.id for t in pending)
-            raise CyclicPrecedence(f"precedence cycle among tasks {cyc}")
+            raise CyclicPrecedence("tasks", f"precedence cycle among tasks {cyc}")
     return replace(spec, tasks=tuple(ordered))
 
 
@@ -178,7 +177,7 @@ def apply_checkpoint(items: Iterable[WorkItem]) -> list[WorkItem]:
     Every tainted item's taint is detected and cleared; those items are
     returned as the rework set (the caller adds the rework effort).
     Untainted items pass.  Detection is unconditional.  Only the ``tainted``
-    flag is read, so the runtime passes its live items.
+    flag is read and cleared; the runtime passes the items the run reports.
     """
     rework: list[WorkItem] = []
     for item in items:
@@ -188,22 +187,22 @@ def apply_checkpoint(items: Iterable[WorkItem]) -> list[WorkItem]:
     return rework
 
 
-class _Item:
-    """A work item while the run is in progress.
-
-    ``task`` is the current task's index (the task count once done); the
-    per-task work figures are lists by task index.  :meth:`result` gives the
-    :class:`WorkItem` that the run reports.
+class WorkItem:
+    """A work item (plan): the runtime's live record, and the one the run
+    reports.  ``task`` indexes ``task_ids`` (their count once done), and the
+    per-task work figures are lists in that order; ``current_task`` and
+    ``work`` are read-only views of them, computed on each read.
     """
 
     __slots__ = (
-        "id", "created_at", "stream", "task", "tainted", "taint_sources",
+        "id", "created_at", "task_ids", "stream", "task", "tainted", "taint_sources",
         "completed_at", "outcome", "sampled", "rework", "processed", "remaining",
     )
 
-    def __init__(self, item_id: int, created_at: float, stream: RngStream, sampled: list):
+    def __init__(self, item_id: int, created_at: float, task_ids: tuple, sampled: list, stream):
         self.id = item_id
         self.created_at = created_at
+        self.task_ids = task_ids
         self.stream = stream
         self.task = 0
         self.tainted = False
@@ -215,27 +214,21 @@ class _Item:
         self.processed = [0.0] * len(sampled)
         self.remaining = sampled[:]
 
-    def result(self, task_ids: tuple[str, ...]) -> WorkItem:
-        return WorkItem(
-            id=self.id,
-            created_at=self.created_at,
-            current_task=task_ids[self.task] if self.task < len(task_ids) else "done",
-            tainted=self.tainted,
-            taint_sources=self.taint_sources,
-            completed_at=self.completed_at,
-            outcome=self.outcome,
-            work={
-                tid: TaskWork(sampled, rework, processed, remaining)
-                for tid, sampled, rework, processed, remaining in zip(
-                    task_ids, self.sampled, self.rework, self.processed, self.remaining
-                )
-            },
-        )
+    @property
+    def current_task(self) -> str:
+        """The current task's id, or ``"done"`` past the last task."""
+        return self.task_ids[self.task] if self.task < len(self.task_ids) else "done"
+
+    @property
+    def work(self) -> dict[str, TaskWork]:
+        """Each task's effort figures, by task id."""
+        figures = zip(self.sampled, self.rework, self.processed, self.remaining)
+        return {tid: TaskWork(*f) for tid, f in zip(self.task_ids, figures)}
 
 
 @dataclass(slots=True)
 class _Run:
-    item: _Item
+    item: WorkItem
     task: int
     role: int
     seized_at: float
@@ -267,8 +260,8 @@ class MissionRuntime:
         self.index = ix = spec.index
         n = len(ix.task_ids)
 
-        self.items: dict[int, _Item] = {}
-        self.queues: list[deque[_Item]] = [deque() for _ in range(n)]
+        self.items: dict[int, WorkItem] = {}
+        self.queues: list[deque[WorkItem]] = [deque() for _ in range(n)]
         self.runs: dict[int, _Run] = {}
         self.free = list(ix.headcount)
         self.busy_seconds = [0.0] * len(ix.roles)
@@ -277,7 +270,7 @@ class MissionRuntime:
         self.blocked_since: list[float | None] = [None] * n
         self.blocked_total = [0.0] * n
 
-        self.completed_today: list[_Item] = []
+        self.completed_today: list[WorkItem] = []
         self.awareness = False
         self.awareness_time: float | None = None
         self.checkpoint_log: list = []
@@ -339,7 +332,8 @@ class MissionRuntime:
         item_id = self._next_item
         self._next_item = item_id + 1
         stream = self.streams.item_stream(item_id)
-        item = _Item(item_id, now, stream, [sample(d, stream) for d in self.index.durations])
+        sampled = [sample(d, stream) for d in self.index.durations]
+        item = WorkItem(item_id, now, self.index.task_ids, sampled, stream)
         self.items[item_id] = item
         self.queues[0].append(item)
         if self.spec.deadline_per_item is not None:
@@ -416,7 +410,7 @@ class MissionRuntime:
             item.remaining[task] -= done
         run.last_update = now
 
-    def _check_taint(self, item: _Item, task: int) -> None:
+    def _check_taint(self, item: WorkItem, task: int) -> None:
         states = self.graph.states
         for asset in self.index.required[task]:
             if states[asset].mode == "integrity_compromised":
@@ -463,7 +457,7 @@ class MissionRuntime:
         self.free[run.role] += 1
         del self.runs[run.item.id]
 
-    def _deadline(self, item: _Item) -> None:
+    def _deadline(self, item: WorkItem) -> None:
         if item.completed_at is not None or item.outcome != "in_progress":
             return
         item.outcome = "abandoned"
@@ -476,7 +470,7 @@ class MissionRuntime:
 
     # -- rework and checkpoints ------------------------------------------------
 
-    def _add_rework(self, item: _Item) -> None:
+    def _add_rework(self, item: WorkItem) -> None:
         """Charge the item's current task with its rework effort."""
         if item.completed_at is not None:
             last = len(item.remaining) - 1
@@ -578,7 +572,7 @@ class MissionRuntime:
             for role, busy, count in zip(ix.roles, self.busy_seconds, ix.headcount)
         }
         return MissionResult(
-            items=[i.result(ix.task_ids) for i in self.items.values()],
+            items=list(self.items.values()),
             task_utilization=utilization,
             blocked_time=dict(zip(ix.task_ids, self.blocked_total)),
             awareness_time=self.awareness_time,

@@ -18,14 +18,15 @@ from typing import Any
 import yaml
 
 from . import metrics as metrics_mod
-from .infrastructure import InfrastructureGraph, Topology, build_topology
+from .fields import ValidationError, _list, _mapping, _read_int, _require
+from .infrastructure import GraphError, InfrastructureGraph, Topology, build_topology, graph_lists
 from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
 from .mission import (
+    MissionError,
     MissionResult,
     MissionRuntime,
     MissionSpec,
     TaskSpec,
-    UnknownAssetBinding,
     validate_mission,
 )
 from .threat import (
@@ -52,13 +53,6 @@ class ParseError(Exception):
     def __init__(self, location: str, reason: str):
         super().__init__(f"{location}: {reason}")
         self.location = location
-        self.reason = reason
-
-
-class ValidationError(Exception):
-    def __init__(self, fieldname: str, reason: str):
-        super().__init__(f"{fieldname}: {reason}")
-        self.field = fieldname
         self.reason = reason
 
 
@@ -242,37 +236,6 @@ class Scenario:
         return self.run_detailed(replication, base_seed)[0]
 
 
-def _require(doc: dict, key: str, location: str) -> Any:
-    if key not in doc:
-        raise ValidationError(f"{location}.{key}", "missing required field")
-    return doc[key]
-
-
-def _read_int(value: Any, fieldname: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
-
-
-def _mapping(value: Any, fieldname: str) -> dict:
-    """A document section; absent or null reads as empty."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValidationError(fieldname, "must be a mapping")
-    return value
-
-
-def _list(value: Any, fieldname: str) -> list:
-    """A list-valued field; absent or null reads as empty."""
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ValidationError(fieldname, "must be a list")
-    return value
-
-
 def read_yaml(path: str) -> Any:
     """The document at ``path``; a missing file, non-UTF-8 text or malformed
     YAML is a :class:`ParseError` whose message fits on one line."""
@@ -294,16 +257,26 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(doc, source=path)
 
 
+def infrastructure_of(doc: dict) -> tuple[dict, Topology]:
+    """The checked lists (see :func:`graph_lists`) and the topology of a
+    scenario document's ``infrastructure`` section; an error names its field
+    as ``infrastructure.<path>``."""
+    infra = _mapping(doc.get("infrastructure"), "infrastructure")
+    try:
+        infra = graph_lists(infra)
+        return infra, build_topology(infra)
+    except ValidationError as exc:
+        raise ValidationError(f"infrastructure.{exc.field}", exc.reason) from None
+    except (GraphError, TypeError, ValueError) as exc:
+        raise ValidationError("infrastructure", str(exc)) from None
+
+
 def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError("schema_version", f"unsupported version {version!r}")
 
-    infra = _mapping(doc.get("infrastructure"), "infrastructure")
-    try:
-        topology = build_topology(infra)
-    except Exception as exc:
-        raise ValidationError("infrastructure", str(exc)) from None
+    infra, topology = infrastructure_of(doc)
 
     sim_doc = _mapping(doc.get("sim"), "sim")
     horizon = parse_duration(sim_doc.get("horizon", "1d"), "sim.horizon")
@@ -364,10 +337,8 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     )
     try:
         mission = validate_mission(mission, topology)
-    except UnknownAssetBinding as exc:
-        raise ValidationError(f"mission.tasks[{exc.task_id}].requires", str(exc)) from None
-    except Exception as exc:
-        raise ValidationError("mission", str(exc)) from None
+    except MissionError as exc:
+        raise ValidationError(f"mission.{exc.field}", exc.reason) from None
 
     attacker = None
     defender = None
@@ -417,11 +388,7 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
             )
 
     return Scenario(
-        infrastructure={
-            "assets": list(infra.get("assets", []) or []),
-            "edges": list(infra.get("edges", []) or []),
-            "vulnerabilities": list(infra.get("vulnerabilities", []) or []),
-        },
+        infrastructure=infra,
         topology=topology,
         mission=mission,
         attacker=attacker,

@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from .fields import ValidationError, _list, _mapping, _read_float, _require
 from .flows import Channel, FlowRecord, ServiceKey, parse_service
 from .scenario import ParseError, read_yaml
 
@@ -26,6 +27,26 @@ def load_topology(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(path, "topology document must be a mapping")
     return doc
+
+
+def _service(entry: dict, key: str, location: str) -> ServiceKey:
+    label = _require(entry, key, location)
+    try:
+        return parse_service(str(label))
+    except ValueError as exc:
+        raise ValidationError(f"{location}.{key}", str(exc)) from None
+
+
+def _number(entry: dict, key: str, location: str, default: float | None = None) -> float:
+    """``entry[key]`` as a float; required when there is no default."""
+    value = _require(entry, key, location) if default is None else entry.get(key, default)
+    return _read_float(value, f"{location}.{key}")
+
+
+def _entries(topology: dict, key: str):
+    """(path, mapping) for each entry of the topology's list ``key``."""
+    for i, entry in enumerate(_list(topology.get(key), key)):
+        yield f"{key}[{i}]", _mapping(entry, f"{key}[{i}]")
 
 
 def _emit(
@@ -63,12 +84,14 @@ def gen_flows(
 ) -> tuple[list[FlowRecord], dict]:
     """Generate flows for ``topology`` over ``duration_s`` seconds.
 
-    Returns (records sorted by timestamp, ground-truth document).
+    Returns (records sorted by timestamp, ground-truth document).  A
+    topology field that is missing or of the wrong type is a
+    :class:`~miakit.fields.ValidationError` naming its path.
     """
     rng = np.random.default_rng(int(seed))
     if duration_s is None:
-        duration_s = float(topology.get("duration_s", 600.0))
-    bin_width = float(topology.get("bin_width", 1.0))
+        duration_s = _read_float(topology.get("duration_s", 600.0), "duration_s")
+    bin_width = _read_float(topology.get("bin_width", 1.0), "bin_width")
 
     records: list[FlowRecord] = []
     truth: dict[str, Any] = {
@@ -86,26 +109,27 @@ def gen_flows(
         if entry not in truth["direct"]:
             truth["direct"].append(entry)
 
-    for entry in topology.get("channels", []) or []:
-        client = str(entry["client"])
-        service = parse_service(str(entry["service"]))
-        rate = float(entry["rate_per_s"])
+    for at, entry in _entries(topology, "channels"):
+        client = str(_require(entry, "client", at))
+        service = _service(entry, "service", at)
+        rate = _number(entry, "rate_per_s", at)
         times = _poisson_times(rng, rate, duration_s)
         for t in times:
             _emit(records, rng, t, client, service)
         if times:
             direct_truth(client, service)
 
-    for entry in topology.get("cascades", []) or []:
-        up = entry["upstream"]
-        client = str(up["client"])
-        service = parse_service(str(up["service"]))
-        rate = float(up["rate_per_s"])
-        down_service = parse_service(str(entry["downstream_service"]))
+    for at, entry in _entries(topology, "cascades"):
+        up_at = f"{at}.upstream"
+        up = _mapping(_require(entry, "upstream", at), up_at)
+        client = str(_require(up, "client", up_at))
+        service = _service(up, "service", up_at)
+        rate = _number(up, "rate_per_s", up_at)
+        down_service = _service(entry, "downstream_service", at)
         pivot = service.host
-        lag = float(entry["lag_s"])
-        jitter = float(entry.get("jitter_s", 0.0))
-        drop = float(entry.get("drop_prob", 0.0))
+        lag = _number(entry, "lag_s", at)
+        jitter = _number(entry, "jitter_s", at, 0.0)
+        drop = _number(entry, "drop_prob", at, 0.0)
         up_times = _poisson_times(rng, rate, duration_s)
         emitted_down = False
         for t in up_times:
@@ -128,12 +152,12 @@ def gen_flows(
                 }
             )
 
-    for entry in topology.get("retries", []) or []:
-        client = str(entry["client"])
-        primary = parse_service(str(entry["primary"]))
-        fallback = parse_service(str(entry["fallback"]))
-        rate = float(entry["rate_per_s"])
-        gap = float(entry.get("gap_s", 0.5))
+    for at, entry in _entries(topology, "retries"):
+        client = str(_require(entry, "client", at))
+        primary = _service(entry, "primary", at)
+        fallback = _service(entry, "fallback", at)
+        rate = _number(entry, "rate_per_s", at)
+        gap = _number(entry, "gap_s", at, 0.5)
         times = _poisson_times(rng, rate, duration_s)
         for t in times:
             _emit(records, rng, t, client, primary)

@@ -595,3 +595,170 @@ class TestCliPropagateAndReport:
         rc = main(["report", "--metrics", str(out)])
         assert rc == 0
         assert "plans_completed" in capsys.readouterr().out
+
+
+def graph_with(key, value):
+    """MINIMAL's infrastructure section with ``key`` set to ``value``."""
+    infra = yaml.safe_load(yaml.safe_dump(MINIMAL["infrastructure"]))
+    infra[key] = value
+    return infra
+
+
+# Graph documents that do not have the shape build_topology reads, as
+# (key, value, the path and reason of the one error line).
+BAD_GRAPHS = [
+    ("edges", 5, "edges: must be a list"),
+    ("assets", {"id": "a"}, "assets: must be a list"),
+    ("vulnerabilities", "sys", "vulnerabilities: must be a list"),
+    ("assets", [{"name": "a"}], "assets[0].id: missing required field"),
+    ("assets", ["ws-1"], "assets[0]: must be a mapping"),
+    ("edges", [{"from": "sys"}], "edges[0].to: missing required field"),
+    ("edges", [5], "edges[0]: must be a mapping"),
+    ("vulnerabilities", [{"asset": "sys"}], "vulnerabilities[0].exploit: missing required field"),
+]
+
+
+class TestGraphDocuments:
+    @pytest.mark.parametrize("key,value,want", BAD_GRAPHS, ids=[w for _, _, w in BAD_GRAPHS])
+    def test_simulate_names_the_infrastructure_field(self, tmp_path, capsys, key, value, want):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["infrastructure"] = graph_with(key, value)
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: infrastructure.{want}"]
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("key,value,want", BAD_GRAPHS, ids=[w for _, _, w in BAD_GRAPHS])
+    def test_propagate_graph_names_the_field(self, tmp_path, capsys, key, value, want, nested):
+        infra = graph_with(key, value)
+        gpath = tmp_path / "graph.yaml"
+        gpath.write_text(yaml.safe_dump({"infrastructure": infra} if nested else infra))
+        rc = main(["propagate", "--graph", str(gpath), "--compromised", "sys",
+                   "--mission", bundled_path("checkpoint.yaml")])
+        assert rc == 1
+        where = "infrastructure." if nested else ""
+        assert capsys.readouterr().err.splitlines() == [f"error: {where}{want}"]
+
+    def test_propagate_graph_document_that_is_a_list(self, tmp_path, capsys):
+        gpath = tmp_path / "graph.yaml"
+        gpath.write_text(yaml.safe_dump([{"id": "sys"}]))
+        rc = main(["propagate", "--graph", str(gpath), "--compromised", "sys",
+                   "--mission", bundled_path("checkpoint.yaml")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {gpath}: graph document must be a mapping"
+        ]
+
+    def test_scenario_stores_the_checked_lists(self):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["infrastructure"]["edges"] = None
+        infra = scenario_from_dict(doc).infrastructure
+        assert infra == {
+            "assets": MINIMAL["infrastructure"]["assets"],
+            "edges": [],
+            "vulnerabilities": MINIMAL["infrastructure"]["vulnerabilities"],
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(["assets", "edges", "vulnerabilities"]),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+            st.lists(
+                st.one_of(
+                    st.none(), st.integers(), st.text(max_size=3),
+                    st.dictionaries(
+                        st.sampled_from(
+                            ["id", "from", "to", "asset", "exploit", "kind", "subnet", "group"]
+                        ),
+                        st.sampled_from(["ws-1", "sys", "e1", "device", 5, None, [1], {"a": 1}]),
+                        max_size=5,
+                    ),
+                ),
+                max_size=3,
+            ),
+        ),
+    )
+    def test_any_graph_list_loads_or_names_an_infrastructure_field(self, key, value):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["infrastructure"] = graph_with(key, value)
+        try:
+            scenario_from_dict(doc)
+        except ValidationError as exc:
+            assert exc.field == "infrastructure" or exc.field.startswith(f"infrastructure.{key}")
+
+
+# Mission documents that validate_mission rejects, as (how to break MINIMAL,
+# the one error line).
+BAD_MISSIONS = [
+    (lambda m: m["tasks"][0].update(after=["zz"]),
+     "mission.tasks[draft].after: unknown predecessor 'zz'"),
+    (lambda m: m["tasks"][0].update(role="pilot"),
+     "mission.tasks[draft].role: role 'pilot' has no headcount"),
+    (lambda m: m["personnel"].update(planner=0),
+     "mission.personnel.planner: headcount must be >= 1"),
+    (lambda m: m["tasks"].append(dict(m["tasks"][0])),
+     "mission.tasks[1].id: duplicate task id 'draft'"),
+    (lambda m: m.update(checkpoints=["2d"]),
+     "mission.checkpoints: checkpoint 172800.0 outside [0, day_length)"),
+    (lambda m: m["tasks"].extend([
+        {"id": "a", "role": "planner", "duration": 1, "after": ["b"]},
+        {"id": "b", "role": "planner", "duration": 1, "after": ["a"]},
+    ]), "mission.tasks: precedence cycle among tasks ['a', 'b']"),
+]
+
+
+class TestMissionErrors:
+    @pytest.mark.parametrize("breaks,want", BAD_MISSIONS, ids=[w for _, w in BAD_MISSIONS])
+    def test_simulate_names_the_task_field(self, tmp_path, capsys, breaks, want):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        breaks(doc["mission"])
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+
+    def test_every_mission_error_is_a_mission_error_and_a_value_error(self):
+        for cls in (mission_mod.CyclicPrecedence, mission_mod.UnknownRole,
+                    mission_mod.UnknownAssetBinding):
+            assert issubclass(cls, mission_mod.MissionError)
+        assert issubclass(mission_mod.MissionError, ValueError)
+
+
+# gen-flows topologies with a bad field, as (topology, the one error line).
+BAD_TOPOLOGIES = [
+    ({"channels": 5}, "channels: must be a list"),
+    ({"channels": [5]}, "channels[0]: must be a mapping"),
+    ({"channels": [{"client": "a", "rate_per_s": 1}]}, "channels[0].service: missing required field"),
+    ({"channels": [{"client": "a", "service": "b", "rate_per_s": 1}]},
+     "channels[0].service: bad service label 'b'"),
+    ({"channels": [{"client": "a", "service": "b:80/tcp", "rate_per_s": "fast"}]},
+     "channels[0].rate_per_s: expected a number, got 'fast'"),
+    ({"duration_s": "ten"}, "duration_s: expected a number, got 'ten'"),
+    ({"bin_width": [1]}, "bin_width: expected a number, got [1]"),
+    ({"cascades": {"a": 1}}, "cascades: must be a list"),
+    ({"cascades": [{"downstream_service": "d:1/tcp", "lag_s": 1}]},
+     "cascades[0].upstream: missing required field"),
+    ({"cascades": [{"upstream": {"client": "a", "service": "b:80/tcp"},
+                    "downstream_service": "d:1/tcp", "lag_s": 1}]},
+     "cascades[0].upstream.rate_per_s: missing required field"),
+    ({"cascades": [{"upstream": {"client": "a", "service": "b:80/tcp", "rate_per_s": 1},
+                    "downstream_service": "d:1/tcp", "lag_s": 1, "jitter_s": "x"}]},
+     "cascades[0].jitter_s: expected a number, got 'x'"),
+    ({"retries": [{"client": "a", "primary": "b:1/tcp", "rate_per_s": 1}]},
+     "retries[0].fallback: missing required field"),
+    ({"retries": "r"}, "retries: must be a list"),
+]
+
+
+class TestGenFlowsTopology:
+    @pytest.mark.parametrize("topo,want", BAD_TOPOLOGIES, ids=[w for _, w in BAD_TOPOLOGIES])
+    def test_bad_field_is_one_error_line(self, tmp_path, capsys, topo, want):
+        path = tmp_path / "topo.yaml"
+        path.write_text(yaml.safe_dump(topo))
+        out = tmp_path / "flows.csv"
+        rc = main(["gen-flows", "--topology", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+        assert not out.exists()

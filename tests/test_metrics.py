@@ -19,7 +19,8 @@ from miakit.threat import AttackTimeline
 
 
 def item(k, outcome, created=0.0, completed=100.0, tainted=False):
-    it = WorkItem(id=k, created_at=created, current_task="done", tainted=tainted)
+    it = WorkItem(k, created, (), [], None)
+    it.tainted = tainted
     it.outcome = outcome
     if outcome.startswith("completed"):
         it.completed_at = completed

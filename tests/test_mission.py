@@ -245,7 +245,7 @@ class TestTaintAndCheckpoints:
         return runtime.finalize()
 
     def test_apply_checkpoint_pure_op(self):
-        items = [WorkItem(id=1, created_at=0, current_task="t1")]
+        items = [WorkItem(1, 0.0, ("t1",), [1.0], None)]
         assert apply_checkpoint(items) == [] and not items[0].tainted
         items[0].tainted = True
         assert apply_checkpoint(items) == items and not items[0].tainted
@@ -380,3 +380,56 @@ class TestTracedEntryPoints:
         # through the module's ``sample``.
         n_tasks = len(sc.mission.tasks)
         assert counts["sample"] >= len(result.items) * (n_tasks + 1)
+
+
+class TestItemsAreTheResult:
+    """The runtime's work items are the records the run reports: nothing is
+    copied at ``finalize``, and ``work``/``current_task`` are views."""
+
+    def _run(self):
+        tasks = [
+            task("t1", Distribution.exponential(50)),
+            task("t2", Distribution.exponential(50), after=["t1"]),
+        ]
+        s = validate_mission(spec(tasks, Distribution.exponential(60), horizon=3000.0))
+        sim = Simulator()
+        runtime = MissionRuntime(s, plain_graph("sys"), sim, StreamFactory(5)).install()
+        sim.run_until(s.horizon)
+        live = list(runtime.items.values())
+        return runtime.finalize(), live
+
+    def test_finalize_returns_the_runtime_items_themselves(self):
+        result, live = self._run()
+        assert len(result.items) == len(live) > 0
+        assert all(got is item for got, item in zip(result.items, live))
+
+    def test_replication_builds_no_task_work(self, monkeypatch):
+        from miakit.scenario import bundled_path, load_scenario
+
+        built = []
+
+        class CountingTaskWork(mission_mod.TaskWork):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mission_mod, "TaskWork", CountingTaskWork)
+        sc = load_scenario(bundled_path("checkpoint.yaml"))
+        _, result, _, _ = sc.run_detailed(0, sc.base_seed)
+        assert result.items and built == []
+        assert len(result.items[0].work) == len(built) == len(sc.mission.tasks)
+
+    def test_views_match_the_per_task_lists(self):
+        result, _ = self._run()
+        ids = ("t1", "t2")
+        current = {item.current_task for item in result.items}
+        assert "done" in current and current - {"done"}
+        for item in result.items:
+            assert item.current_task == (ids[item.task] if item.task < 2 else "done")
+            assert item.work == {
+                tid: mission_mod.TaskWork(
+                    item.sampled[k], item.rework[k], item.processed[k], item.remaining[k]
+                )
+                for k, tid in enumerate(ids)
+            }
+            assert list(item.work) == list(ids)
