@@ -4,8 +4,9 @@ Subcommands: ``discover`` (flow file -> dependency document), ``simulate``
 (scenario -> per-replication metrics CSV and summary, optionally against a
 no-attack baseline), ``propagate`` (static impact of a compromised set),
 ``gen-flows`` (seeded synthetic traffic plus ground truth), and ``report``
-(re-aggregate saved metrics).  Exit codes: 0 success, 1 domain or
-validation error, 2 usage error.
+(re-aggregate saved metrics).  Exit codes: 0 success, 1 bad input (a
+:class:`~miakit.fields.MiakitError`, or a file that cannot be read or
+written), 2 usage error; any other exception is a bug and a traceback.
 """
 
 from __future__ import annotations
@@ -16,29 +17,10 @@ import sys
 import yaml
 
 from . import discovery, flows, metrics, synth
-from .infrastructure import GraphError, InfrastructureGraph, build_graph, propagate_static_impact
+from .fields import MiakitError, ValidationError, _list, read_text
+from .infrastructure import InfrastructureGraph, build_graph, propagate_static_impact
 from .kernel import run_replications
-from .scenario import (
-    ParseError,
-    ValidationError,
-    _list,
-    infrastructure_of,
-    load_scenario,
-    read_yaml,
-)
-
-_DOMAIN_ERRORS = (
-    ParseError,
-    ValidationError,
-    GraphError,
-    flows.MalformedLine,
-    flows.EmptyWindow,
-    metrics.EmptyInput,
-    metrics.BaselineZero,
-    ValueError,
-    KeyError,
-    OSError,
-)
+from .scenario import infrastructure_of, load_scenario, read_yaml
 
 
 def _write(path: str, text: str) -> None:
@@ -212,7 +194,7 @@ def _load_bindings(path: str) -> dict:
 def cmd_propagate(args: argparse.Namespace) -> int:
     graph_doc = read_yaml(args.graph)
     if graph_doc is not None and not isinstance(graph_doc, dict):
-        raise ParseError(args.graph, "graph document must be a mapping")
+        raise ValidationError(args.graph, "graph document must be a mapping")
     if graph_doc and "infrastructure" in graph_doc:
         graph = InfrastructureGraph(infrastructure_of(graph_doc)[1])
     else:
@@ -257,13 +239,10 @@ def cmd_gen_flows(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.metrics, "r", encoding="utf-8") as fh:
-        results = metrics.parse_metrics_csv(fh.read())
-    summary = metrics.aggregate(results)
+    summary = metrics.aggregate(metrics.parse_metrics_csv(read_text(args.metrics)))
     print(metrics.summary_text(summary, title=args.metrics), end="")
     if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            base = metrics.parse_metrics_csv(fh.read())
+        base = metrics.parse_metrics_csv(read_text(args.baseline))
         base_summary = metrics.aggregate(base)
         print(metrics.summary_text(base_summary, title=args.baseline), end="")
         print(metrics.comparison_text(metrics.compare(summary, base_summary)), end="")
@@ -328,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _DOMAIN_ERRORS as exc:
+    except (MiakitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

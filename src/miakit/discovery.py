@@ -10,12 +10,14 @@ immediately another.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
+from .fields import ValidationError
 from .flows import (
     REGISTERED_PORT_LIMIT,
     Channel,
@@ -225,6 +227,8 @@ def detect_retry_chains(
     reported when its episode count reaches ``min_support`` and covers at
     least ``dominance`` of all the client's contacts with B.
     """
+    if not 0 <= episode_gap < math.inf:
+        raise ValidationError("episode_gap", f"must be finite and >= 0, got {episode_gap}")
     gap_us = int(round(episode_gap * 1e6))
     per_client: dict[str, list[tuple[int, ServiceKey]]] = defaultdict(list)
     for r in records:

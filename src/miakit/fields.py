@@ -1,37 +1,69 @@
-"""Field readers for input documents: a field that is missing or has the
-wrong shape is a :class:`ValidationError` naming its path, such as
-``mission.tasks[0].requires``.  Paths are relative to the document checked;
-a caller that embeds one document in another adds its own prefix."""
+"""Input errors and readers for input files and fields.  Every exception
+miakit raises for bad input is a :class:`MiakitError`; a field that is
+missing or has the wrong shape is a :class:`ValidationError` naming its
+path, such as ``mission.tasks[0].requires``.  Paths are relative to the
+document or spec that reads the field; a caller that embeds one in another
+adds its own prefix with :func:`within`."""
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 
-class ValidationError(Exception):
+class MiakitError(ValueError):
+    """Bad input: a document, file or argument miakit cannot use."""
+
+
+class ValidationError(MiakitError):
     def __init__(self, fieldname: str, reason: str):
         super().__init__(f"{fieldname}: {reason}")
         self.field = fieldname
         self.reason = reason
 
+    def under(self, prefix: str) -> "ValidationError":
+        """This error, its field moved under ``prefix`` (``prefix.field``)."""
+        self.field = f"{prefix}.{self.field}"
+        self.args = (f"{self.field}: {self.reason}",)
+        return self
 
-def _require(doc: dict, key: str, location: str) -> Any:
+
+@contextmanager
+def within(prefix: str) -> Iterator[None]:
+    """A :class:`ValidationError` raised inside names its field under ``prefix``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise exc.under(prefix)
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; other bytes are a
+    :class:`ValidationError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ValidationError(path, "not UTF-8 text") from None
+
+
+def _require(doc: dict, key: str, location: str = "") -> Any:
     if key not in doc:
-        raise ValidationError(f"{location}.{key}", "missing required field")
+        raise ValidationError(f"{location}.{key}" if location else key, "missing required field")
     return doc[key]
 
 
 def _read_int(value: Any, fieldname: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(fieldname, f"expected an integer, got {value!r}") from None
 
 
 def _read_float(value: Any, fieldname: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(fieldname, f"expected a number, got {value!r}") from None
 
 

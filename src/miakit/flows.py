@@ -10,24 +10,27 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fields import MiakitError, ValidationError, read_text
+
 FLOW_HEADER = "ts_us,src_ip,src_port,dst_ip,dst_port,proto,bytes,packets"
 REGISTERED_PORT_LIMIT = 49151
 
 
-class MalformedLine(Exception):
+class MalformedLine(MiakitError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
 
-class EmptyWindow(Exception):
+class EmptyWindow(MiakitError):
     pass
 
 
@@ -136,8 +139,7 @@ def parse_flows(
     a list is supplied.
     """
     if isinstance(source, str) and "\n" not in source:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_flows(fh, strict=strict, malformed=malformed)
+        source = read_text(source)
     if isinstance(source, str):
         source = io.StringIO(source)
 
@@ -260,8 +262,8 @@ def bin_activity(
     t0, t1 = window
     if t0 >= t1:
         raise EmptyWindow(f"window [{t0}, {t1}) is empty")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 1e-6 <= bin_width < math.inf:
+        raise ValidationError("bin_width", f"must be finite and >= 1e-06, got {bin_width}")
     width_us = int(round(bin_width * 1e6))
     n_bins = -(-(t1 - t0) // width_us)  # ceil division
     if isinstance(records, FlowLog):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
-from .fields import _list, _mapping, _require
+from .fields import MiakitError, ValidationError, _list, _require
 
 ASSET_KINDS = frozenset(
     {"device", "service", "application", "end_user_node", "external_link"}
@@ -34,7 +34,7 @@ STATE_MODES = frozenset(
 )
 
 
-class GraphError(Exception):
+class GraphError(MiakitError):
     pass
 
 
@@ -46,15 +46,15 @@ class UnknownTask(GraphError):
     pass
 
 
-class DanglingReference(GraphError):
+class DanglingReference(ValidationError):
     pass
 
 
-class DuplicateId(GraphError):
+class DuplicateId(ValidationError):
     pass
 
 
-class SelfLoop(GraphError):
+class SelfLoop(ValidationError):
     pass
 
 
@@ -71,7 +71,8 @@ class Asset:
 
     def __post_init__(self):
         if self.kind not in ASSET_KINDS:
-            raise ValueError(f"unknown asset kind {self.kind!r}")
+            raise ValidationError("kind", f"unknown asset kind {self.kind!r}")
+        _check_key(self.subnet, "subnet")
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,14 @@ class DependencyEdge:
 
     def __post_init__(self):
         if self.kind not in EDGE_KINDS:
-            raise ValueError(f"unknown edge kind {self.kind!r}")
+            raise ValidationError("kind", f"unknown edge kind {self.kind!r}")
+        _check_key(self.group, "group")
+
+
+def _check_key(value, fieldname: str) -> None:
+    """A subnet or any-of group names a set of assets, so it is a scalar."""
+    if isinstance(value, (list, dict, set)):
+        raise ValidationError(fieldname, f"must be a scalar, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,27 +165,28 @@ class Topology:
         self.vulnerabilities: list[Vulnerability] = []
         self._out: dict[str, list[DependencyEdge]] = {}
         self._in: dict[str, list[DependencyEdge]] = {}
-        for asset in assets:
+        for i, asset in enumerate(assets):
             if asset.id in self.assets:
-                raise DuplicateId(f"asset id {asset.id!r} declared twice")
+                raise DuplicateId(f"assets[{i}].id", f"asset id {asset.id!r} declared twice")
             self.assets[asset.id] = asset
             self._out[asset.id] = []
             self._in[asset.id] = []
-        for edge in edges:
-            for endpoint in (edge.from_id, edge.to_id):
+        for i, edge in enumerate(edges):
+            for end, endpoint in (("from", edge.from_id), ("to", edge.to_id)):
                 if endpoint not in self.assets:
-                    raise DanglingReference(f"edge references unknown asset {endpoint!r}")
+                    raise DanglingReference(f"edges[{i}].{end}", f"unknown asset {endpoint!r}")
             if edge.from_id == edge.to_id:
-                raise SelfLoop(f"asset {edge.from_id!r} cannot depend on itself")
+                raise SelfLoop(f"edges[{i}].to", f"asset {edge.from_id!r} cannot depend on itself")
             self.edges.append(edge)
             self._out[edge.from_id].append(edge)
             self._in[edge.to_id].append(edge)
         exploits: dict[str, set[str]] = {}
-        for vuln in vulnerabilities:
-            if vuln.asset_id not in self.assets:
-                raise DanglingReference(f"vulnerability on unknown asset {vuln.asset_id!r}")
-            self.vulnerabilities.append(vuln)
-            exploits.setdefault(vuln.asset_id, set()).add(vuln.exploit_id)
+        for i, v in enumerate(vulnerabilities):
+            if v.asset_id not in self.assets:
+                where = f"vulnerabilities[{i}].asset"
+                raise DanglingReference(where, f"unknown asset {v.asset_id!r}")
+            self.vulnerabilities.append(v)
+            exploits.setdefault(v.asset_id, set()).add(v.exploit_id)
         self._exploits = {a: frozenset(x) for a, x in exploits.items()}
         members: dict[str, set[str]] = {}
         for asset in self.assets.values():
@@ -329,25 +338,30 @@ def _reevaluate(
                 heapq.heappush(pending, j)
 
 
-# The keys every entry of each graph document list must have.
-_GRAPH_LISTS = {"assets": ("id",), "edges": ("from", "to"), "vulnerabilities": ("asset", "exploit")}
+def _asset(entry: dict) -> Asset:
+    asset_id = str(_require(entry, "id"))
+    kind, name = str(entry.get("kind", "device")), str(entry.get("name", asset_id))
+    return Asset(asset_id, kind, name, entry.get("subnet"))
+
+
+def _edge(entry: dict) -> DependencyEdge:
+    ends = str(_require(entry, "from")), str(_require(entry, "to"))
+    return DependencyEdge(*ends, str(entry.get("kind", "declared")), entry.get("group"))
+
+
+def _vulnerability(entry: dict) -> Vulnerability:
+    return Vulnerability(str(_require(entry, "asset")), str(_require(entry, "exploit")))
+
+
+# How an entry of each graph document list is read.
+_GRAPH_ENTRIES = {"assets": _asset, "edges": _edge, "vulnerabilities": _vulnerability}
 
 
 def graph_lists(spec: Mapping) -> dict[str, list]:
     """The ``assets``, ``edges`` and ``vulnerabilities`` of a graph document,
-    each checked to be a list (absent or null reads as empty) of mappings
-    with the keys an entry needs: ``id``, ``from``/``to``, ``asset``/``exploit``.
-    A wrong field is a :class:`~miakit.fields.ValidationError` naming its
-    path in the document, such as ``edges`` or ``assets[3].id``."""
-    checked = {}
-    for key, needs in _GRAPH_LISTS.items():
-        entries = _list(spec.get(key), key)
-        for i, entry in enumerate(entries):
-            entry = _mapping(entry, f"{key}[{i}]")
-            for need in needs:
-                _require(entry, need, f"{key}[{i}]")
-        checked[key] = list(entries)
-    return checked
+    each checked to be a list (absent or null reads as empty); a wrong one
+    is a :class:`~miakit.fields.ValidationError` naming it."""
+    return {key: list(_list(spec.get(key), key)) for key in _GRAPH_ENTRIES}
 
 
 def build_topology(spec: Mapping) -> Topology:
@@ -356,32 +370,20 @@ def build_topology(spec: Mapping) -> Topology:
     ``spec`` mirrors the ``infrastructure`` section of a scenario document:
     ``assets`` (id/kind/name/subnet), ``edges`` (from/to/kind/group)
     and ``vulnerabilities`` (asset/exploit), read through :func:`graph_lists`.
+    A wrong field is a :class:`~miakit.fields.ValidationError` naming its
+    path in the document, such as ``edges`` or ``assets[3].id``.
     """
-    doc = graph_lists(spec)
-    return Topology(
-        (
-            Asset(
-                id=str(entry["id"]),
-                kind=str(entry.get("kind", "device")),
-                name=str(entry.get("name", entry["id"])),
-                subnet=entry.get("subnet"),
-            )
-            for entry in doc["assets"]
-        ),
-        (
-            DependencyEdge(
-                from_id=str(entry["from"]),
-                to_id=str(entry["to"]),
-                kind=str(entry.get("kind", "declared")),
-                group=entry.get("group"),
-            )
-            for entry in doc["edges"]
-        ),
-        (
-            Vulnerability(asset_id=str(entry["asset"]), exploit_id=str(entry["exploit"]))
-            for entry in doc["vulnerabilities"]
-        ),
-    )
+    lists = graph_lists(spec)  # new lists: each entry is replaced by what it reads as
+    for key, read in _GRAPH_ENTRIES.items():
+        entries = lists[key]
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValidationError(f"{key}[{i}]", "must be a mapping")
+            try:
+                entries[i] = read(entry)
+            except ValidationError as exc:
+                raise exc.under(f"{key}[{i}]") from None
+    return Topology(lists["assets"], lists["edges"], lists["vulnerabilities"])
 
 
 def build_graph(spec: Mapping) -> InfrastructureGraph:

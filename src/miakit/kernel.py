@@ -15,12 +15,14 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .fields import MiakitError, ValidationError
+
 
 class SchedulingInPast(Exception):
     """An event was scheduled before the current simulation clock."""
 
 
-class InvalidDistribution(Exception):
+class InvalidDistribution(MiakitError):
     """Distribution parameters violate their domain constraints."""
 
 
@@ -288,5 +290,7 @@ def run_replications(scenario: Any, n: int, base_seed: int) -> list[Any]:
     replication k's outcome is a function of (base_seed, k, scenario) only.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("replications", "must be >= 1")
+    if base_seed < 0:
+        raise ValidationError("seed", "must be >= 0")
     return [scenario.run_replication(k, base_seed) for k in range(n)]

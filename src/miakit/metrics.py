@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
+from .fields import MiakitError, ValidationError
+
 SIGNIFICANT_REDUCTION = 0.10
 
 CSV_HEADER = (
@@ -20,11 +22,11 @@ CSV_HEADER = (
 )
 
 
-class EmptyInput(Exception):
+class EmptyInput(MiakitError):
     pass
 
 
-class BaselineZero(Exception):
+class BaselineZero(MiakitError):
     pass
 
 
@@ -191,23 +193,21 @@ def metrics_csv(metrics: Iterable[MissionMetrics]) -> str:
 
 
 def parse_metrics_csv(text: str) -> list[MissionMetrics]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"metrics CSV header must be {CSV_HEADER!r}")
+    """The rows of a :func:`metrics_csv` document, blank lines skipped; a bad
+    line is a :class:`~miakit.fields.ValidationError` naming it (``line 2``)."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    header_no, header = rows[0] if rows else (1, "")
+    if header.strip() != CSV_HEADER:
+        raise ValidationError(f"line {header_no}", f"metrics CSV header must be {CSV_HEADER!r}")
     out = []
-    for ln in lines[1:]:
+    for n, ln in rows[1:]:
         parts = ln.split(",")
-        out.append(
-            MissionMetrics(
-                plans_completed=int(parts[1]),
-                plans_corrupted_undetected=int(parts[2]),
-                corrupted_fraction=float(parts[3]),
-                mean_completion_delay_s=float(parts[4]),
-                blocked_s=float(parts[5]),
-                attack_duration_s=float(parts[6]),
-                confidentiality_exposure_s=float(parts[7]),
-            )
-        )
+        if len(parts) != 8:
+            raise ValidationError(f"line {n}", f"expected 8 fields, got {len(parts)}")
+        try:
+            out.append(MissionMetrics(int(parts[1]), int(parts[2]), *map(float, parts[3:])))
+        except ValueError as exc:
+            raise ValidationError(f"line {n}", str(exc)) from None
     return out
 
 

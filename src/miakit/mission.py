@@ -17,28 +17,20 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable
 
+from .fields import ValidationError
 from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance_all
 from .kernel import Distribution, Simulator, StreamFactory, sample
 
 
-class MissionError(ValueError):
-    """An invalid mission spec; ``field`` is the offending field's path."""
-
-    def __init__(self, fieldname: str, reason: str):
-        super().__init__(f"{fieldname}: {reason}")
-        self.field = fieldname
-        self.reason = reason
-
-
-class CyclicPrecedence(MissionError):
+class CyclicPrecedence(ValidationError):
     pass
 
 
-class UnknownRole(MissionError):
+class UnknownRole(ValidationError):
     pass
 
 
-class UnknownAssetBinding(MissionError):
+class UnknownAssetBinding(ValidationError):
     pass
 
 
@@ -94,20 +86,22 @@ def validate_mission(
     spec: MissionSpec, graph: InfrastructureGraph | Topology | None = None
 ) -> MissionSpec:
     """Check references, compute a topological task order, return the
-    normalized spec (tasks reordered so predecessors always come first)."""
+    normalized spec (tasks reordered so predecessors always come first).
+    An error is a :class:`~miakit.fields.ValidationError` naming the field
+    of the mission document, such as ``tasks[draft].after``."""
     by_id = {}
     for i, task in enumerate(spec.tasks):
         if task.id in by_id:
-            raise MissionError(f"tasks[{i}].id", f"duplicate task id {task.id!r}")
+            raise ValidationError(f"tasks[{i}].id", f"duplicate task id {task.id!r}")
         by_id[task.id] = task
     for task in spec.tasks:
         for pred in task.predecessors:
             if pred not in by_id:
-                raise MissionError(f"tasks[{task.id}].after", f"unknown predecessor {pred!r}")
+                raise ValidationError(f"tasks[{task.id}].after", f"unknown predecessor {pred!r}")
         if task.role not in spec.personnel:
             raise UnknownRole(f"tasks[{task.id}].role", f"role {task.role!r} has no headcount")
         if spec.personnel[task.role] < 1:
-            raise MissionError(f"personnel.{task.role}", "headcount must be >= 1")
+            raise ValidationError(f"personnel.{task.role}", "headcount must be >= 1")
         if graph is not None:
             for asset in task.required_assets:
                 if asset not in graph.assets:
@@ -115,7 +109,7 @@ def validate_mission(
                     raise UnknownAssetBinding(f"tasks[{task.id}].requires", why)
     for cp in spec.checkpoints:
         if not (0 <= cp < spec.day_length):
-            raise MissionError("checkpoints", f"checkpoint {cp} outside [0, day_length)")
+            raise ValidationError("checkpoints", f"checkpoint {cp} outside [0, day_length)")
 
     ordered: list[TaskSpec] = []
     placed: set[str] = set()

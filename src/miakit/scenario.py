@@ -18,11 +18,12 @@ from typing import Any
 import yaml
 
 from . import metrics as metrics_mod
-from .fields import ValidationError, _list, _mapping, _read_int, _require
-from .infrastructure import GraphError, InfrastructureGraph, Topology, build_topology, graph_lists
+from .fields import (
+    ValidationError, _list, _mapping, _read_float, _read_int, _require, read_text, within
+)
+from .infrastructure import InfrastructureGraph, Topology, build_topology, graph_lists
 from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
 from .mission import (
-    MissionError,
     MissionResult,
     MissionRuntime,
     MissionSpec,
@@ -48,20 +49,16 @@ _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 
-
-class ParseError(Exception):
-    def __init__(self, location: str, reason: str):
-        super().__init__(f"{location}: {reason}")
-        self.location = location
-        self.reason = reason
+# How many parameters each distribution kind takes.
+_ARITY = {"fixed": 1, "exponential": 1, "uniform": 2, "triangular": 3}
 
 
 def parse_duration(value: Any, fieldname: str = "duration") -> float:
     """Seconds from a number or a suffixed string like ``90``, ``15m``, ``2h``;
-    never negative."""
+    never negative or NaN."""
     seconds = _read_seconds(value, fieldname)
-    if seconds < 0:
-        raise ValidationError(fieldname, f"durations must not be negative, got {value!r}")
+    if not seconds >= 0:
+        raise ValidationError(fieldname, f"durations must be >= 0, got {value!r}")
     return seconds
 
 
@@ -95,28 +92,17 @@ def parse_distribution(value: Any, fieldname: str = "distribution") -> Distribut
     if not isinstance(value, dict) or len(value) != 1:
         raise ValidationError(fieldname, f"expected one-key distribution map, got {value!r}")
     kind, params = next(iter(value.items()))
+    if kind not in _ARITY:
+        raise ValidationError(fieldname, f"unknown distribution kind {kind!r}")
+    if kind == "exponential" and isinstance(params, dict) and "mean" in params:
+        params = params["mean"]
+    args = [params] if _ARITY[kind] == 1 else params
+    if not isinstance(args, list) or len(args) != _ARITY[kind]:
+        raise ValidationError(fieldname, f"bad {kind} parameters {params!r}")
     try:
-        if kind == "fixed":
-            return Distribution.fixed(parse_duration(params, fieldname))
-        if kind == "uniform":
-            a, b = params
-            return Distribution.uniform(parse_duration(a, fieldname), parse_duration(b, fieldname))
-        if kind == "exponential":
-            if isinstance(params, dict):
-                params = params["mean"]
-            return Distribution.exponential(parse_duration(params, fieldname))
-        if kind == "triangular":
-            a, m, b = params
-            return Distribution.triangular(
-                parse_duration(a, fieldname),
-                parse_duration(m, fieldname),
-                parse_duration(b, fieldname),
-            )
-    except (TypeError, KeyError, ValueError):
-        raise ValidationError(fieldname, f"bad {kind} parameters {params!r}") from None
+        return Distribution(kind, tuple(parse_duration(a, fieldname) for a in args))
     except InvalidDistribution as exc:
         raise ValidationError(fieldname, str(exc)) from None
-    raise ValidationError(fieldname, f"unknown distribution kind {kind!r}")
 
 
 def _dist_doc(dist: Distribution) -> dict:
@@ -135,8 +121,9 @@ def parse_effect(value: Any) -> EffectSpec:
         if inner == "stop":
             return EffectSpec("availability_stop")
         if isinstance(inner, dict) and set(inner) == {"degrade"}:
-            return EffectSpec("availability_degrade", degrade_factor=float(inner["degrade"]))
-    raise ValidationError("attacker.effect", f"cannot read effect {value!r}")
+            factor = _read_float(inner["degrade"], "effect")
+            return EffectSpec("availability_degrade", degrade_factor=factor)
+    raise ValidationError("effect", f"cannot read effect {value!r}")
 
 
 def _effect_doc(effect: EffectSpec) -> Any:
@@ -153,12 +140,12 @@ def parse_start(value: Any) -> StartPolicy:
     if isinstance(value, dict) and len(value) == 1:
         kind, param = next(iter(value.items()))
         if kind == "fixed":
-            return StartPolicy.fixed(parse_duration(param, "attacker.start"))
+            return StartPolicy.fixed(parse_duration(param, "start"))
         if kind == "random":
-            return StartPolicy.random(parse_duration(param, "attacker.start"))
+            return StartPolicy.random(parse_duration(param, "start"))
         if kind == "task":
             return StartPolicy.process_triggered(str(param))
-    raise ValidationError("attacker.start", f"cannot read start policy {value!r}")
+    raise ValidationError("start", f"cannot read start policy {value!r}")
 
 
 def _start_doc(policy: StartPolicy) -> dict:
@@ -167,6 +154,44 @@ def _start_doc(policy: StartPolicy) -> dict:
     if policy.kind == "random":
         return {"random": policy.window}
     return {"task": policy.task}
+
+
+# How each field of the attacker and defender sections is read from the
+# document and echoed back to it, in echo order.  A field that is absent or
+# null takes the spec's default; one without a default is required.
+_ATTACKER_FIELDS = {
+    "target": (lambda value, _: str(value), str),
+    "effect": (lambda value, _: parse_effect(value), _effect_doc),
+    "start": (lambda value, _: parse_start(value), _start_doc),
+    "capabilities": (lambda value, name: frozenset(map(str, _list(value, name))), sorted),
+    "spearphish_success_prob": (_read_float, float),
+    "spearphish_interval": (parse_distribution, _dist_doc),
+    "scan_interval": (parse_distribution, _dist_doc),
+    "proficiency": (_read_float, float),
+    "agility": (_read_float, float),
+}
+_DEFENDER_FIELDS = {
+    "detect_delay": (parse_distribution, _dist_doc),
+    "forensics_duration": (parse_distribution, _dist_doc),
+    "per_host_discovery_prob": (_read_float, float),
+    "remediation_per_host": (parse_distribution, _dist_doc),
+}
+
+
+def _read_spec(spec_type: type, table: dict, doc: dict) -> Any:
+    """``spec_type`` built from a document section through ``table``."""
+    kwargs = {}
+    for f in dataclasses.fields(spec_type):
+        value = doc.get(f.name)
+        if value is not None:
+            kwargs[f.name] = table[f.name][0](value, f.name)
+        elif f.default is dataclasses.MISSING:
+            raise ValidationError(f.name, "missing required field")
+    return spec_type(**kwargs)
+
+
+def _spec_doc(spec: Any, table: dict) -> dict:
+    return {name: echo(getattr(spec, name)) for name, (_, echo) in table.items()}
 
 
 @dataclass
@@ -238,22 +263,20 @@ class Scenario:
 
 def read_yaml(path: str) -> Any:
     """The document at ``path``; a missing file, non-UTF-8 text or malformed
-    YAML is a :class:`ParseError` whose message fits on one line."""
+    YAML is a :class:`ValidationError` naming the path, whose message fits
+    on one line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return yaml.load(fh, Loader=_SafeLoader)
+        return yaml.load(read_text(path), Loader=_SafeLoader)
     except FileNotFoundError:
-        raise ParseError(path, "no such file") from None
-    except UnicodeDecodeError:
-        raise ParseError(path, "not UTF-8 text") from None
+        raise ValidationError(path, "no such file") from None
     except yaml.YAMLError as exc:
-        raise ParseError(path, "YAML error: " + " ".join(str(exc).split())) from None
+        raise ValidationError(path, "YAML error: " + " ".join(str(exc).split())) from None
 
 
 def load_scenario(path: str) -> Scenario:
     doc = read_yaml(path)
     if not isinstance(doc, dict):
-        raise ParseError(path, "scenario document must be a mapping")
+        raise ValidationError(path, "scenario document must be a mapping")
     return scenario_from_dict(doc, source=path)
 
 
@@ -262,13 +285,9 @@ def infrastructure_of(doc: dict) -> tuple[dict, Topology]:
     scenario document's ``infrastructure`` section; an error names its field
     as ``infrastructure.<path>``."""
     infra = _mapping(doc.get("infrastructure"), "infrastructure")
-    try:
+    with within("infrastructure"):
         infra = graph_lists(infra)
         return infra, build_topology(infra)
-    except ValidationError as exc:
-        raise ValidationError(f"infrastructure.{exc.field}", exc.reason) from None
-    except (GraphError, TypeError, ValueError) as exc:
-        raise ValidationError("infrastructure", str(exc)) from None
 
 
 def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
@@ -280,12 +299,14 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
 
     sim_doc = _mapping(doc.get("sim"), "sim")
     horizon = parse_duration(sim_doc.get("horizon", "1d"), "sim.horizon")
-    if horizon <= 0:
-        raise ValidationError("sim.horizon", "must be positive")
+    if not 0 < horizon < float("inf"):
+        raise ValidationError("sim.horizon", "must be positive and finite")
     replications = _read_int(sim_doc.get("replications", 1), "sim.replications")
     base_seed = _read_int(sim_doc.get("base_seed", 0), "sim.base_seed")
     if replications < 1:
         raise ValidationError("sim.replications", "must be >= 1")
+    if base_seed < 0:
+        raise ValidationError("sim.base_seed", "must be >= 0")
 
     mission_doc = _mapping(_require(doc, "mission", "scenario"), "mission")
     tasks = []
@@ -335,57 +356,32 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
             else None
         ),
     )
-    try:
+    with within("mission"):
         mission = validate_mission(mission, topology)
-    except MissionError as exc:
-        raise ValidationError(f"mission.{exc.field}", exc.reason) from None
 
     attacker = None
     defender = None
     if doc.get("attacker") is not None:
         adoc = _mapping(doc["attacker"], "attacker")
-        target = str(_require(adoc, "target", "attacker"))
-        if target not in topology.assets:
-            raise ValidationError("attacker.target", f"unknown asset {target!r}")
+        with within("attacker"):
+            attacker = _read_spec(AttackerSpec, _ATTACKER_FIELDS, adoc)
+        if attacker.target not in topology.assets:
+            raise ValidationError("attacker.target", f"unknown asset {attacker.target!r}")
+        task = attacker.start.task
+        if task is not None and task not in {t.id for t in mission.tasks}:
+            raise ValidationError("attacker.start", f"unknown task {task!r}")
         if not topology.end_users:
             raise ValidationError(
                 "infrastructure.assets", "attacker needs at least one end_user_node"
             )
-        attacker = AttackerSpec(
-            target=target,
-            effect=parse_effect(_require(adoc, "effect", "attacker")),
-            start=parse_start(_require(adoc, "start", "attacker")),
-            capabilities=frozenset(
-                map(str, _list(adoc.get("capabilities"), "attacker.capabilities"))
-            ),
-            spearphish_success_prob=float(adoc.get("spearphish_success_prob", 1.0)),
-            spearphish_interval=parse_distribution(
-                adoc.get("spearphish_interval", 60.0), "attacker.spearphish_interval"
-            ),
-            scan_interval=parse_distribution(
-                adoc.get("scan_interval", 60.0), "attacker.scan_interval"
-            ),
-            proficiency=float(adoc.get("proficiency", 1.0)),
-            agility=float(adoc.get("agility", 1.0)),
-        )
         if "defender" not in doc:
             raise ValidationError(
                 "defender", "scenario has an attacker; give a defender or an explicit null"
             )
         if doc["defender"] is not None:
             ddoc = _mapping(doc["defender"], "defender")
-            defender = DefenderSpec(
-                detect_delay=parse_distribution(
-                    ddoc.get("detect_delay", 3600.0), "defender.detect_delay"
-                ),
-                forensics_duration=parse_distribution(
-                    ddoc.get("forensics_duration", 1800.0), "defender.forensics_duration"
-                ),
-                per_host_discovery_prob=float(ddoc.get("per_host_discovery_prob", 1.0)),
-                remediation_per_host=parse_distribution(
-                    ddoc.get("remediation_per_host", 1800.0), "defender.remediation_per_host"
-                ),
-            )
+            with within("defender"):
+                defender = _read_spec(DefenderSpec, _DEFENDER_FIELDS, ddoc)
 
     return Scenario(
         infrastructure=infra,
@@ -432,28 +428,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         },
     }
     if scenario.attacker is not None:
-        a = scenario.attacker
-        doc["attacker"] = {
-            "target": a.target,
-            "effect": _effect_doc(a.effect),
-            "start": _start_doc(a.start),
-            "capabilities": sorted(a.capabilities),
-            "spearphish_success_prob": a.spearphish_success_prob,
-            "spearphish_interval": _dist_doc(a.spearphish_interval),
-            "scan_interval": _dist_doc(a.scan_interval),
-            "proficiency": a.proficiency,
-            "agility": a.agility,
-        }
-        if scenario.defender is not None:
-            d = scenario.defender
-            doc["defender"] = {
-                "detect_delay": _dist_doc(d.detect_delay),
-                "forensics_duration": _dist_doc(d.forensics_duration),
-                "per_host_discovery_prob": d.per_host_discovery_prob,
-                "remediation_per_host": _dist_doc(d.remediation_per_host),
-            }
-        else:
-            doc["defender"] = None
+        d = scenario.defender
+        doc["attacker"] = _spec_doc(scenario.attacker, _ATTACKER_FIELDS)
+        doc["defender"] = None if d is None else _spec_doc(d, _DEFENDER_FIELDS)
     return doc
 
 

@@ -17,7 +17,7 @@ import yaml
 
 from .fields import ValidationError, _list, _mapping, _read_float, _require
 from .flows import Channel, FlowRecord, ServiceKey, parse_service
-from .scenario import ParseError, read_yaml
+from .scenario import read_yaml
 
 SCHEMA_VERSION = 1
 
@@ -25,7 +25,7 @@ SCHEMA_VERSION = 1
 def load_topology(path: str) -> dict:
     doc = read_yaml(path)
     if not isinstance(doc, dict):
-        raise ParseError(path, "topology document must be a mapping")
+        raise ValidationError(path, "topology document must be a mapping")
     return doc
 
 
@@ -88,10 +88,14 @@ def gen_flows(
     topology field that is missing or of the wrong type is a
     :class:`~miakit.fields.ValidationError` naming its path.
     """
+    if seed < 0:
+        raise ValidationError("seed", "must be >= 0")
     rng = np.random.default_rng(int(seed))
     if duration_s is None:
         duration_s = _read_float(topology.get("duration_s", 600.0), "duration_s")
     bin_width = _read_float(topology.get("bin_width", 1.0), "bin_width")
+    if not bin_width > 0:
+        raise ValidationError("bin_width", "must be positive")
 
     records: list[FlowRecord] = []
     truth: dict[str, Any] = {

@@ -15,17 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .fields import MiakitError, ValidationError
 from .infrastructure import AssetState, InfrastructureGraph, set_state
 from .kernel import Distribution, RngStream, Simulator, sample
 
 PHASES = ("dormant", "access", "lateral_movement", "exploitation", "effect_active", "evicted")
 
 
-class NoEndUserNodes(Exception):
+class NoEndUserNodes(MiakitError):
     pass
 
 
-class UnknownTarget(Exception):
+class UnknownTarget(MiakitError):
     pass
 
 
@@ -43,11 +44,11 @@ class EffectSpec:
 
     def __post_init__(self):
         if self.kind not in ("availability_stop", "availability_degrade", "integrity", "confidentiality"):
-            raise ValueError(f"unknown effect {self.kind!r}")
+            raise ValidationError("effect", f"unknown effect {self.kind!r}")
         if self.kind == "availability_degrade" and not (
             self.degrade_factor is not None and 0.0 < self.degrade_factor < 1.0
         ):
-            raise ValueError("degrade factor must lie strictly in (0, 1)")
+            raise ValidationError("effect", "degrade factor must lie strictly in (0, 1)")
 
     def to_state(self) -> AssetState:
         if self.kind == "availability_stop":
@@ -97,9 +98,9 @@ class AttackerSpec:
             ("proficiency", self.proficiency),
         ):
             if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must be a probability, got {p}")
+                raise ValidationError(name, f"must be a probability, got {p}")
         if not (0.0 < self.agility <= 1.0):
-            raise ValueError(f"agility must lie in (0, 1], got {self.agility}")
+            raise ValidationError("agility", f"must lie in (0, 1], got {self.agility}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class DefenderSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.per_host_discovery_prob <= 1.0):
-            raise ValueError("per_host_discovery_prob must be a probability")
+            raise ValidationError("per_host_discovery_prob", "must be a probability")
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miakit import cli as cli_mod
 from miakit import mission as mission_mod
 from miakit import scenario as scenario_mod
 from miakit.cli import main
 from miakit.kernel import Distribution
 from miakit.scenario import (
-    ParseError,
     ValidationError,
     bundled_path,
     load_scenario,
@@ -112,7 +112,7 @@ class TestScenarioLoading:
         assert sc.attacker is None
 
     def test_missing_file(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             load_scenario("/nonexistent/path.yaml")
 
     def test_unknown_asset_binding_names_task(self, tmp_path):
@@ -147,7 +147,9 @@ class TestScenarioLoading:
          (("mission", "arrivals"), {"uniform": [0, 0]}, "mission.arrivals"),
          (("mission", "day_length"), 0, "mission.day_length"),
          (("mission", "deadline_per_item"), "-5m", "mission.deadline_per_item"),
-         (("sim", "horizon"), 0, "sim.horizon")],
+         (("sim", "horizon"), 0, "sim.horizon"),
+         (("sim", "horizon"), float("inf"), "sim.horizon"),
+         (("mission", "tasks", 0, "duration"), {"fixed": float("nan")}, "mission.tasks[0].duration")],
     )
     def test_negative_duration_or_empty_interval_rejected_at_load(self, tmp_path, path, value, field):
         doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
@@ -615,6 +617,15 @@ BAD_GRAPHS = [
     ("edges", [{"from": "sys"}], "edges[0].to: missing required field"),
     ("edges", [5], "edges[0]: must be a mapping"),
     ("vulnerabilities", [{"asset": "sys"}], "vulnerabilities[0].exploit: missing required field"),
+    ("assets", [{"id": "sys", "subnet": [1]}], "assets[0].subnet: must be a scalar, got [1]"),
+    ("assets", [{"id": "sys", "kind": "robot"}], "assets[0].kind: unknown asset kind 'robot'"),
+    ("assets", [{"id": "sys"}, {"id": "sys"}], "assets[1].id: asset id 'sys' declared twice"),
+    ("edges", [{"from": "sys", "to": "ws-1", "group": {"g": 1}}],
+     "edges[0].group: must be a scalar, got {'g': 1}"),
+    ("edges", [{"from": "sys", "to": "zz"}], "edges[0].to: unknown asset 'zz'"),
+    ("edges", [{"from": "sys", "to": "sys"}], "edges[0].to: asset 'sys' cannot depend on itself"),
+    ("vulnerabilities", [{"asset": "zz", "exploit": "e1"}],
+     "vulnerabilities[0].asset: unknown asset 'zz'"),
 ]
 
 
@@ -686,7 +697,8 @@ class TestGraphDocuments:
         try:
             scenario_from_dict(doc)
         except ValidationError as exc:
-            assert exc.field == "infrastructure" or exc.field.startswith(f"infrastructure.{key}")
+            lists = ("assets", "edges", "vulnerabilities")
+            assert exc.field.startswith(tuple(f"infrastructure.{k}" for k in lists))
 
 
 # Mission documents that validate_mission rejects, as (how to break MINIMAL,
@@ -722,8 +734,8 @@ class TestMissionErrors:
     def test_every_mission_error_is_a_mission_error_and_a_value_error(self):
         for cls in (mission_mod.CyclicPrecedence, mission_mod.UnknownRole,
                     mission_mod.UnknownAssetBinding):
-            assert issubclass(cls, mission_mod.MissionError)
-        assert issubclass(mission_mod.MissionError, ValueError)
+            assert issubclass(cls, ValidationError)
+        assert issubclass(ValidationError, ValueError)
 
 
 # gen-flows topologies with a bad field, as (topology, the one error line).
@@ -762,3 +774,157 @@ class TestGenFlowsTopology:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
         assert not out.exists()
+
+
+# The attacker and defender fields that have a default, as (path, field name).
+SPEC_DEFAULTS = [
+    (("attacker", name), f"attacker.{name}")
+    for name in ("capabilities", "spearphish_success_prob", "spearphish_interval",
+                 "scan_interval", "proficiency", "agility")
+] + [
+    (("defender", name), f"defender.{name}")
+    for name in ("detect_delay", "forensics_duration", "per_host_discovery_prob",
+                 "remediation_per_host")
+]
+# Every scenario field that has a default, the graph entries' included.
+OPTIONAL_FIELDS = SPEC_DEFAULTS + [
+    (("infrastructure", "assets", 0, "kind"), "infrastructure.assets[0].kind"),
+    (("infrastructure", "assets", 0, "subnet"), "infrastructure.assets[0].subnet"),
+    (("infrastructure", "edges", 0, "kind"), "infrastructure.edges[0].kind"),
+    (("infrastructure", "edges", 0, "group"), "infrastructure.edges[0].group"),
+]
+
+
+def with_field(path, value):
+    """MINIMAL with an attacker, a defender and one edge, and the field at
+    ``path`` set to ``value``."""
+    doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    doc["attacker"], doc["defender"] = dict(ATTACKER), {}
+    doc["infrastructure"]["edges"] = [{"from": "sys", "to": "ws-1"}]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def one_error_line(capsys, argv):
+    """The stderr lines of ``main(argv)``, which must exit 1."""
+    assert main(argv) == 1
+    return capsys.readouterr().err.splitlines()
+
+
+class TestInputErrors:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        optional=st.sampled_from(OPTIONAL_FIELDS),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+            st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        ),
+    )
+    def test_any_value_in_an_optional_field_loads_or_names_it(self, optional, value):
+        path, field = optional
+        try:
+            scenario_from_dict(with_field(path, value))
+        except ValidationError as exc:
+            assert exc.field == field
+
+    @pytest.mark.parametrize("path", [p for p, _ in SPEC_DEFAULTS],
+                             ids=[f for _, f in SPEC_DEFAULTS])
+    def test_null_optional_field_reads_as_default(self, path):
+        null, absent = with_field(path, None), with_field(path, None)
+        del absent[path[0]][path[1]]
+        assert scenario_to_dict(scenario_from_dict(null)) == scenario_to_dict(
+            scenario_from_dict(absent)
+        )
+
+    def test_attack_start_task_must_exist(self, tmp_path, capsys):
+        doc = yaml.safe_load(open(bundled_path("checkpoint.yaml")))
+        doc["attacker"]["start"] = {"task": "drfat"}
+        argv = ["simulate", "--scenario", write_scenario(tmp_path, doc),
+                "--out", str(tmp_path / "m.csv")]
+        assert one_error_line(capsys, argv) == ["error: attacker.start: unknown task 'drfat'"]
+
+    @pytest.mark.parametrize("body,want", [
+        ("0,1,2\n", "error: line 2: expected 8 fields, got 3"),
+        ("0,x,0,0.0,0.0,0.0,0.0,0.0\n",
+         "error: line 2: invalid literal for int() with base 10: 'x'"),
+        ("0,1,0,0.0,0.0,0.0,0.0,0.0\n\n0,1,0,0.0,0.0,0.0,0.0,soon\n",
+         "error: line 4: could not convert string to float: 'soon'"),
+    ])
+    def test_report_names_the_bad_line(self, tmp_path, capsys, body, want):
+        from miakit.metrics import CSV_HEADER
+
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_HEADER + "\n" + body)
+        assert one_error_line(capsys, ["report", "--metrics", str(path)]) == [want]
+
+    def test_report_names_a_bad_header(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n0,1\n")
+        err = one_error_line(capsys, ["report", "--metrics", str(path)])
+        assert len(err) == 1 and err[0].startswith("error: line 1: metrics CSV header must be")
+
+    def test_negative_base_seed_rejected_at_load(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["sim"]["base_seed"] = -4
+        argv = ["simulate", "--scenario", write_scenario(tmp_path, doc),
+                "--out", str(tmp_path / "m.csv")]
+        assert one_error_line(capsys, argv) == ["error: sim.base_seed: must be >= 0"]
+
+    @pytest.mark.parametrize("argv,want", [
+        (["simulate", "--scenario", bundled_path("checkpoint.yaml"), "--seed", "-1"],
+         "error: seed: must be >= 0"),
+        (["simulate", "--scenario", bundled_path("checkpoint.yaml"), "--replications", "0"],
+         "error: replications: must be >= 1"),
+        (["gen-flows", "--topology", bundled_path("cascade_clean.yaml"), "--seed", "-1"],
+         "error: seed: must be >= 0"),
+    ])
+    def test_bad_count_or_seed_option_is_one_error_line(self, tmp_path, capsys, argv, want):
+        out = tmp_path / "out.csv"
+        assert one_error_line(capsys, argv + ["--out", str(out)]) == [want]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,value,want", [
+        ("--bin-width", "0", "error: bin_width: must be finite and >= 1e-06, got 0.0"),
+        ("--bin-width", "nan", "error: bin_width: must be finite and >= 1e-06, got nan"),
+        ("--episode-gap", "inf", "error: episode_gap: must be finite and >= 0, got inf"),
+    ])
+    def test_bad_discover_option_is_one_error_line(self, tmp_path, capsys, option, value, want):
+        flows_path = str(tmp_path / "flows.csv")
+        assert main(["gen-flows", "--topology", bundled_path("cascade_clean.yaml"),
+                     "--out", flows_path]) == 0
+        capsys.readouterr()
+        argv = ["discover", "--flows", flows_path, option, value, "--out", str(tmp_path / "d")]
+        assert one_error_line(capsys, argv) == [want]
+
+    @pytest.mark.parametrize("command", ["report", "discover"])
+    def test_text_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe\n")
+        argv = (["report", "--metrics", str(path)] if command == "report"
+                else ["discover", "--flows", str(path), "--out", str(tmp_path / "d")])
+        assert one_error_line(capsys, argv) == [f"error: {path}: not UTF-8 text"]
+
+    def test_a_bug_in_miakit_is_a_traceback_not_an_error_line(self, tmp_path, monkeypatch):
+        def broken(path):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli_mod, "load_scenario", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["simulate", "--scenario", bundled_path("checkpoint.yaml"),
+                  "--out", str(tmp_path / "m.csv")])
+
+    def test_every_input_error_is_a_miakit_error(self):
+        from miakit import flows, infrastructure, kernel, metrics, threat
+        from miakit.fields import MiakitError
+
+        for cls in (ValidationError, infrastructure.GraphError, flows.MalformedLine,
+                    flows.EmptyWindow, metrics.EmptyInput, metrics.BaselineZero,
+                    kernel.InvalidDistribution, threat.UnknownTarget, threat.NoEndUserNodes):
+            assert issubclass(cls, MiakitError)
+        for cls in (infrastructure.DuplicateId, infrastructure.DanglingReference,
+                    infrastructure.SelfLoop):
+            assert issubclass(cls, ValidationError)

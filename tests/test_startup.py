@@ -11,7 +11,7 @@ import yaml
 
 import miakit
 from miakit import scenario
-from miakit.scenario import ParseError, bundled_path, load_scenario, read_yaml
+from miakit.scenario import ValidationError, bundled_path, load_scenario, read_yaml
 
 BUNDLED = sorted(glob.glob(os.path.join(os.path.dirname(bundled_path("slack.yaml")), "*.yaml")))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(miakit.__file__)))
@@ -101,7 +101,7 @@ def test_fallback_loader_reads_every_bundled_document(pure_python_loader):
 def test_fallback_loader_reports_malformed_yaml(pure_python_loader, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("a: [1,\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError) as err:
         read_yaml(str(bad))
     assert str(err.value).startswith(f"{bad}: YAML error: ")
     assert "\n" not in str(err.value)
