@@ -19,7 +19,6 @@ import numpy as np
 
 from .fields import ValidationError
 from .flows import (
-    REGISTERED_PORT_LIMIT,
     Channel,
     ChannelSeries,
     FlowRecord,
@@ -92,14 +91,11 @@ class EvaluationReport:
     false_negatives: list
 
 
-def direct_dependencies(
-    records: Iterable[FlowRecord],
-    registered_port_limit: int = REGISTERED_PORT_LIMIT,
-) -> list[DirectDependency]:
+def direct_dependencies(records: Iterable[FlowRecord]) -> list[DirectDependency]:
     """One entry per distinct (client, service) with counts and time bounds."""
     agg: dict[Channel, list[int]] = {}
     for r in records:
-        ch = channel_of(r, registered_port_limit)
+        ch = channel_of(r)
         entry = agg.get(ch)
         if entry is None:
             agg[ch] = [1, r.ts_us, r.ts_us]
@@ -182,6 +178,11 @@ def infer_indirect(
     downstream one.  Pairs where either channel is constant are skipped;
     a dependency is emitted when the best lagged score reaches ``threshold``.
     """
+    if not -1 <= threshold <= 1:
+        raise ValidationError("threshold", f"must lie in [-1, 1], got {threshold}")
+    for name, value in (("max_lag", max_lag), ("min_activity", min_activity)):
+        if not value >= 0:
+            raise ValidationError(name, f"must be >= 0, got {value}")
     active = [d for d in direct if d.flow_count >= min_activity]
     by_client: dict[str, list[DirectDependency]] = defaultdict(list)
     for d in active:
@@ -218,7 +219,6 @@ def detect_retry_chains(
     episode_gap: float = DEFAULT_EPISODE_GAP,
     min_support: int = DEFAULT_MIN_SUPPORT,
     dominance: float = DEFAULT_DOMINANCE,
-    registered_port_limit: int = REGISTERED_PORT_LIMIT,
 ) -> list[RetryChain]:
     """Find habitual contact-then-fallback pairs per client.
 
@@ -229,10 +229,12 @@ def detect_retry_chains(
     """
     if not 0 <= episode_gap < math.inf:
         raise ValidationError("episode_gap", f"must be finite and >= 0, got {episode_gap}")
+    if not min_support >= 0:
+        raise ValidationError("min_support", f"must be >= 0, got {min_support}")
     gap_us = int(round(episode_gap * 1e6))
     per_client: dict[str, list[tuple[int, ServiceKey]]] = defaultdict(list)
     for r in records:
-        client, service, _ = service_side(r, registered_port_limit)
+        client, service, _ = service_side(r)
         per_client[client].append((r.ts_us, service))
 
     chains: list[RetryChain] = []

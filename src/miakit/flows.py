@@ -2,7 +2,7 @@
 
 The front end of dependency discovery.  Flow records are plain 5-tuple
 observations with byte/packet counts; the service side of each flow is
-inferred from the registered-port heuristic, and per-channel activity is
+the endpoint with the lower port, and per-channel activity is
 binned into fixed-width count series for correlation.
 """
 
@@ -62,7 +62,10 @@ def parse_service(label: str) -> ServiceKey:
     host, _, port = hostport.rpartition(":")
     if not host or not port or proto not in ("tcp", "udp"):
         raise ValueError(f"bad service label {label!r}")
-    return ServiceKey(host, int(port), proto)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port {number} out of range in {label!r}")
+    return ServiceKey(host, number, proto)
 
 
 @dataclass(frozen=True)
@@ -171,49 +174,33 @@ def serialize_flows(records: Iterable[FlowRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def service_side(
-    record: FlowRecord, registered_port_limit: int = REGISTERED_PORT_LIMIT
-) -> tuple[str, ServiceKey, bool]:
+def service_side(record: FlowRecord) -> tuple[str, ServiceKey, bool]:
     """Pick the service endpoint of a flow: (client_host, service, ambiguous).
 
-    The endpoint whose port is inside the registered range and not above the
-    peer's port is the service side.  When both ports are ephemeral the lower
-    port is taken and the flow is flagged ambiguous.  Destination wins ties.
+    The endpoint with the lower port is the service side; the destination
+    wins ties.  A flow whose ports are both above the registered range is
+    flagged ambiguous.
     """
-    client, host, port, ambiguous = _service_endpoint(record, registered_port_limit)
+    client, host, port, ambiguous = _service_endpoint(record)
     return client, ServiceKey(host, port, record.proto), ambiguous
 
 
-def _service_endpoint(
-    record: FlowRecord, registered_port_limit: int
-) -> tuple[str, str, int, bool]:
+def _service_endpoint(record: FlowRecord) -> tuple[str, str, int, bool]:
     """:func:`service_side` as plain values: (client_host, service_host,
     service_port, ambiguous)."""
-    src_ok = record.src_port <= registered_port_limit
-    dst_ok = record.dst_port <= registered_port_limit
-    ambiguous = not (src_ok or dst_ok)
-    if src_ok and dst_ok:
-        dst_side = record.dst_port <= record.src_port
-    elif dst_ok or src_ok:
-        dst_side = dst_ok
-    else:
-        dst_side = record.dst_port <= record.src_port
-    if dst_side:
+    ambiguous = min(record.src_port, record.dst_port) > REGISTERED_PORT_LIMIT
+    if record.dst_port <= record.src_port:
         return record.src_host, record.dst_host, record.dst_port, ambiguous
     return record.dst_host, record.src_host, record.src_port, ambiguous
 
 
-def identify_services(
-    records: Iterable[FlowRecord], registered_port_limit: int = REGISTERED_PORT_LIMIT
-) -> set[ServiceKey]:
+def identify_services(records: Iterable[FlowRecord]) -> set[ServiceKey]:
     """Distinct service endpoints observed across ``records``."""
-    return {service_side(r, registered_port_limit)[1] for r in records}
+    return {service_side(r)[1] for r in records}
 
 
-def channel_of(
-    record: FlowRecord, registered_port_limit: int = REGISTERED_PORT_LIMIT
-) -> Channel:
-    client, service, _ = service_side(record, registered_port_limit)
+def channel_of(record: FlowRecord) -> Channel:
+    client, service, _ = service_side(record)
     return Channel(client, service)
 
 
@@ -232,7 +219,7 @@ def _channel_index(
     bins: list[int] = []
     for r in records:
         if t0 <= r.ts_us < t1:
-            client, host, port, _ = _service_endpoint(r, REGISTERED_PORT_LIMIT)
+            client, host, port, _ = _service_endpoint(r)
             row_of.append(rows.setdefault((client, host, port, r.proto), len(rows)))
             bins.append((r.ts_us - t0) // width_us)
     row_arr = np.array(row_of, dtype=np.intp)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, fields
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 from .fields import MiakitError, ValidationError
@@ -123,11 +124,7 @@ def aggregate(metrics: Sequence[MissionMetrics]) -> ReplicationSummary:
         raise EmptyInput("no replications to aggregate")
     n = len(metrics)
     if n >= 2:
-        # Imported here, not at module level: scipy costs about a second to
-        # import, and only this summary needs it.
-        from scipy import stats
-
-        t = float(stats.t.ppf(0.975, n - 1))
+        t = _t975(n - 1)
     per_metric: dict[str, MetricSummary] = {}
     for name in METRIC_NAMES:
         values = [float(getattr(m, name)) for m in metrics]
@@ -142,6 +139,51 @@ def aggregate(metrics: Sequence[MissionMetrics]) -> ReplicationSummary:
             half = None
         per_metric[name] = MetricSummary(mean, stdev, half, min(values), max(values), n)
     return ReplicationSummary(n, per_metric)
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom.
+
+    Closed forms for df 1 and 2.  Above df 500, Fisher's expansion in
+    powers of 1/df (Abramowitz & Stegun 26.7.5), whose first omitted term
+    is below 2e-14 of the quantile there.  In between, Newton steps from
+    that expansion on the exact finite-sum CDF (A&S 26.7.3-4), so no call
+    sums more than 250 terms, whatever df is.
+    """
+    if df == 1:
+        return 1.0 / math.tan(math.pi / 40)
+    if df == 2:
+        return 0.95 / math.sqrt(2 * 0.975 * 0.025)
+    z = NormalDist().inv_cdf(0.975)
+    z2, n = z * z, float(df)
+    g1 = (z2 + 1) / 4
+    g2 = ((5 * z2 + 16) * z2 + 3) / 96
+    g3 = (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384
+    g4 = ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160
+    t = z * (1 + (g1 + (g2 + (g3 + g4 / n) / n) / n) / n)
+    if df > 500:
+        return t
+    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
+    for _ in range(10):
+        density = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (0.95 - _t_central(t, df)) / (2 * density)
+        t += step
+        if abs(step) < 1e-12 * t:
+            break
+    return t
+
+
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer ``df`` >= 3 (A&S 26.7.3-4)."""
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    term = total = 1.0
+    for k in range(1 + df % 2, df - 2, 2):
+        term *= c2 * k / (k + 1)
+        total += term
+    if df % 2:
+        return (theta + math.sin(theta) * math.cos(theta) * total) * 2 / math.pi
+    return math.sin(theta) * total
 
 
 @dataclass

@@ -10,6 +10,7 @@ discovery output can be scored with precision and recall.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -38,9 +39,12 @@ def _service(entry: dict, key: str, location: str) -> ServiceKey:
 
 
 def _number(entry: dict, key: str, location: str, default: float | None = None) -> float:
-    """``entry[key]`` as a float; required when there is no default."""
+    """``entry[key]`` as a finite float >= 0; required when there is no default."""
     value = _require(entry, key, location) if default is None else entry.get(key, default)
-    return _read_float(value, f"{location}.{key}")
+    number = _read_float(value, f"{location}.{key}")
+    if not 0 <= number < math.inf:
+        raise ValidationError(f"{location}.{key}", f"must be finite and >= 0, got {number}")
+    return number
 
 
 def _entries(topology: dict, key: str):
@@ -93,6 +97,8 @@ def gen_flows(
     rng = np.random.default_rng(int(seed))
     if duration_s is None:
         duration_s = _read_float(topology.get("duration_s", 600.0), "duration_s")
+    if not 0 < duration_s < math.inf:
+        raise ValidationError("duration_s", f"must be finite and > 0, got {duration_s}")
     bin_width = _read_float(topology.get("bin_width", 1.0), "bin_width")
     if not bin_width > 0:
         raise ValidationError("bin_width", "must be positive")
@@ -134,6 +140,8 @@ def gen_flows(
         lag = _number(entry, "lag_s", at)
         jitter = _number(entry, "jitter_s", at, 0.0)
         drop = _number(entry, "drop_prob", at, 0.0)
+        if drop > 1:
+            raise ValidationError(f"{at}.drop_prob", f"must lie in [0, 1], got {drop}")
         up_times = _poisson_times(rng, rate, duration_s)
         emitted_down = False
         for t in up_times:
@@ -211,7 +219,3 @@ def truth_retry_keys(truth: dict) -> set:
 def save_truth(truth: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(truth, fh, sort_keys=False)
-
-
-def load_truth(path: str) -> dict:
-    return read_yaml(path)

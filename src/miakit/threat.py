@@ -101,6 +101,11 @@ class AttackerSpec:
                 raise ValidationError(name, f"must be a probability, got {p}")
         if not (0.0 < self.agility <= 1.0):
             raise ValidationError("agility", f"must lie in (0, 1], got {self.agility}")
+        # A zero interval would repeat a failing phish or an empty scan at
+        # one simulated instant forever.
+        for name in ("spearphish_interval", "scan_interval"):
+            if getattr(self, name).mean() <= 0:
+                raise ValidationError(name, "mean interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,12 @@ class DefenderSpec:
     def __post_init__(self):
         if not (0.0 <= self.per_host_discovery_prob <= 1.0):
             raise ValidationError("per_host_discovery_prob", "must be a probability")
+        # Passes that find nothing repeat until the horizon; instant ones
+        # would repeat at one simulated instant forever.
+        if self.per_host_discovery_prob == 0 and self.forensics_duration.mean() <= 0:
+            raise ValidationError(
+                "forensics_duration", "mean must be positive when per_host_discovery_prob is 0"
+            )
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,24 @@ class TestScenarioLoading:
             sc = load_scenario(bundled_path(name))
             assert sc.mission.tasks
 
+    @pytest.mark.parametrize("attacker,defender,field", [
+        ({"scan_interval": {"fixed": 0}, "capabilities": []}, None, "attacker.scan_interval"),
+        ({"spearphish_interval": {"fixed": 0}, "spearphish_success_prob": 0}, None,
+         "attacker.spearphish_interval"),
+        ({"scan_interval": {"uniform": [0, 0]}}, None, "attacker.scan_interval"),
+        ({}, {"forensics_duration": {"fixed": 0}, "per_host_discovery_prob": 0},
+         "defender.forensics_duration"),
+    ])
+    def test_interval_that_would_stall_the_loop_rejected_at_load(self, attacker, defender, field):
+        # Loading only: each of these ran forever at one simulated instant.
+        doc = scenario_mod.read_yaml(bundled_path("checkpoint.yaml"))
+        doc["sim"]["horizon"] = 600
+        doc["attacker"].update(attacker, start={"fixed": 0})
+        doc["defender"] = defender
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == field
+
     def test_event_trace_replay_is_byte_identical(self):
         from miakit.kernel import trace_lines
 
@@ -761,6 +779,25 @@ BAD_TOPOLOGIES = [
     ({"retries": [{"client": "a", "primary": "b:1/tcp", "rate_per_s": 1}]},
      "retries[0].fallback: missing required field"),
     ({"retries": "r"}, "retries: must be a list"),
+    ({"channels": [{"client": "a", "service": "b:99999/tcp", "rate_per_s": 1}]},
+     "channels[0].service: port 99999 out of range in 'b:99999/tcp'"),
+    ({"channels": [{"client": "a", "service": "b:80/tcp", "rate_per_s": -1}]},
+     "channels[0].rate_per_s: must be finite and >= 0, got -1.0"),
+    ({"channels": [{"client": "a", "service": "b:80/tcp", "rate_per_s": float("inf")}]},
+     "channels[0].rate_per_s: must be finite and >= 0, got inf"),
+    ({"cascades": [{"upstream": {"client": "a", "service": "b:80/tcp", "rate_per_s": 1},
+                    "downstream_service": "d:1/tcp", "lag_s": -2}]},
+     "cascades[0].lag_s: must be finite and >= 0, got -2.0"),
+    ({"cascades": [{"upstream": {"client": "a", "service": "b:80/tcp", "rate_per_s": 1},
+                    "downstream_service": "d:1/tcp", "lag_s": 1, "jitter_s": float("nan")}]},
+     "cascades[0].jitter_s: must be finite and >= 0, got nan"),
+    ({"cascades": [{"upstream": {"client": "a", "service": "b:80/tcp", "rate_per_s": 1},
+                    "downstream_service": "d:1/tcp", "lag_s": 1, "drop_prob": 2}]},
+     "cascades[0].drop_prob: must lie in [0, 1], got 2.0"),
+    ({"retries": [{"client": "a", "primary": "b:1/tcp", "fallback": "c:1/tcp",
+                   "rate_per_s": 1, "gap_s": -0.5}]},
+     "retries[0].gap_s: must be finite and >= 0, got -0.5"),
+    ({"duration_s": 0}, "duration_s: must be finite and > 0, got 0.0"),
 ]
 
 
@@ -881,6 +918,8 @@ class TestInputErrors:
          "error: replications: must be >= 1"),
         (["gen-flows", "--topology", bundled_path("cascade_clean.yaml"), "--seed", "-1"],
          "error: seed: must be >= 0"),
+        (["gen-flows", "--topology", bundled_path("cascade_clean.yaml"), "--duration", "-5"],
+         "error: duration_s: must be finite and > 0, got -5.0"),
     ])
     def test_bad_count_or_seed_option_is_one_error_line(self, tmp_path, capsys, argv, want):
         out = tmp_path / "out.csv"
@@ -891,6 +930,11 @@ class TestInputErrors:
         ("--bin-width", "0", "error: bin_width: must be finite and >= 1e-06, got 0.0"),
         ("--bin-width", "nan", "error: bin_width: must be finite and >= 1e-06, got nan"),
         ("--episode-gap", "inf", "error: episode_gap: must be finite and >= 0, got inf"),
+        ("--max-lag", "-1", "error: max_lag: must be >= 0, got -1"),
+        ("--min-activity", "-5", "error: min_activity: must be >= 0, got -5"),
+        ("--min-support", "-1", "error: min_support: must be >= 0, got -1"),
+        ("--ncc-threshold", "nan", "error: threshold: must lie in [-1, 1], got nan"),
+        ("--ncc-threshold", "1.5", "error: threshold: must lie in [-1, 1], got 1.5"),
     ])
     def test_bad_discover_option_is_one_error_line(self, tmp_path, capsys, option, value, want):
         flows_path = str(tmp_path / "flows.csv")

@@ -28,7 +28,6 @@ from miakit.discovery import (
     retry_key,
 )
 from miakit.flows import (
-    REGISTERED_PORT_LIMIT,
     Channel,
     ChannelSeries,
     FlowRecord,
@@ -351,13 +350,12 @@ def slice_retry_chains(
     episode_gap=DEFAULT_EPISODE_GAP,
     min_support=DEFAULT_MIN_SUPPORT,
     dominance=DEFAULT_DOMINANCE,
-    registered_port_limit=REGISTERED_PORT_LIMIT,
 ):
     """Reference: the slice-based loop ``detect_retry_chains`` replaced."""
     gap_us = int(round(episode_gap * 1e6))
     per_client = defaultdict(list)
     for r in records:
-        client, service, _ = service_side(r, registered_port_limit)
+        client, service, _ = service_side(r)
         per_client[client].append((r.ts_us, service))
 
     chains = []

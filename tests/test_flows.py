@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from miakit.flows import (
     FLOW_HEADER,
+    REGISTERED_PORT_LIMIT,
     Channel,
     EmptyWindow,
     FlowLog,
@@ -89,7 +90,31 @@ class TestParsing:
         assert serialize_flows(parse_flows(text)) == text
 
 
+def three_branch_rule(record, limit):
+    """Reference: the service-side rule with a registered-port limit, as
+    (destination is the service side, ambiguous)."""
+    src_ok = record.src_port <= limit
+    dst_ok = record.dst_port <= limit
+    if src_ok and dst_ok:
+        dst_side = record.dst_port <= record.src_port
+    elif dst_ok or src_ok:
+        dst_side = dst_ok
+    else:
+        dst_side = record.dst_port <= record.src_port
+    return dst_side, not (src_ok or dst_ok)
+
+
+port = st.one_of(st.integers(0, 65535), st.sampled_from([0, 49151, 49152, 65535]))
+
+
 class TestServiceIdentification:
+    @given(sport=port, dport=port, limit=port)
+    def test_lower_port_rule_matches_the_three_branch_rule(self, sport, dport, limit):
+        record = flow(src="a", sport=sport, dst="b", dport=dport)
+        client, _, ambiguous = service_side(record)
+        assert (client == "a") == three_branch_rule(record, limit)[0]
+        assert ambiguous == three_branch_rule(record, REGISTERED_PORT_LIMIT)[1]
+
     def test_well_known_port_side(self):
         client, svc, ambiguous = service_side(flow())
         assert (client, svc) == ("10.0.0.2", ServiceKey("10.0.0.1", 443, "tcp"))
