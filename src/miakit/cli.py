@@ -37,6 +37,11 @@ def _dump_yaml(doc: dict) -> str:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
+    flows.bin_width_us(args.bin_width)
+    discovery.check_indirect_options(args.ncc_threshold, args.max_lag, args.min_activity)
+    discovery.check_retry_options(
+        args.episode_gap, args.min_support, discovery.DEFAULT_DOMINANCE
+    )
     malformed: list = []
     records = flows.parse_flows(args.flows, strict=args.strict, malformed=malformed)
     direct = discovery.direct_dependencies(records)

@@ -18,14 +18,7 @@ from typing import Callable, Hashable, Iterable
 import numpy as np
 
 from .fields import ValidationError
-from .flows import (
-    Channel,
-    ChannelSeries,
-    FlowRecord,
-    ServiceKey,
-    channel_of,
-    service_side,
-)
+from .flows import Channel, ChannelSeries, FlowRecord, ServiceKey, channel_index
 from .infrastructure import InfrastructureGraph, build_graph
 
 DEFAULT_NCC_THRESHOLD = 0.8
@@ -93,37 +86,43 @@ class EvaluationReport:
 
 def direct_dependencies(records: Iterable[FlowRecord]) -> list[DirectDependency]:
     """One entry per distinct (client, service) with counts and time bounds."""
-    agg: dict[Channel, list[int]] = {}
-    for r in records:
-        ch = channel_of(r)
-        entry = agg.get(ch)
-        if entry is None:
-            agg[ch] = [1, r.ts_us, r.ts_us]
-        else:
-            entry[0] += 1
-            entry[1] = min(entry[1], r.ts_us)
-            entry[2] = max(entry[2], r.ts_us)
+    index = channel_index(records)
+    starts, ends = index.bounds[:-1], index.bounds[1:]
+    first = index.ts_by_row[starts].tolist()
+    last = index.ts_by_row[ends - 1].tolist()
     out = [
-        DirectDependency(ch.client, ch.service, count, first, last)
-        for ch, (count, first, last) in agg.items()
+        DirectDependency(ch.client, ch.service, count, lo, hi)
+        for ch, count, lo, hi in zip(index.channels, (ends - starts).tolist(), first, last)
     ]
     out.sort(key=lambda d: (d.client, d.service.label()))
     return out
 
 
-def _overlap(x: ChannelSeries, y: ChannelSeries, lag: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_binning(x: ChannelSeries, y: ChannelSeries) -> None:
     if x.bin_width != y.bin_width or x.start_us != y.start_us:
         raise MismatchedBinning(
             "series must share bin width and window start "
             f"({x.bin_width}/{x.start_us} vs {y.bin_width}/{y.start_us})"
         )
-    if lag < 0:
-        ys, xs = _overlap(y, x, -lag)
-        return xs, ys
-    m = min(len(x.counts), len(y.counts) - lag)
-    if m < 2:
-        raise InsufficientOverlap(f"overlap of {m} bins at lag {lag}")
-    return np.asarray(x.counts[:m], dtype=float), np.asarray(y.counts[lag : lag + m], dtype=float)
+
+
+def _pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
+    """Pearson correlation of two float windows of equal length m >= 2, or
+    None when either has zero variance.
+
+    The means and sample standard deviations are the ufunc steps that
+    ``ndarray.mean`` and ``ndarray.std(ddof=1)`` run, so scores are
+    bit-identical to those methods'.
+    """
+    m = len(xs)
+    dx = xs - np.add.reduce(xs) / m
+    dy = ys - np.add.reduce(ys) / m
+    sx = math.sqrt(np.add.reduce(dx * dx) / (m - 1))
+    sy = math.sqrt(np.add.reduce(dy * dy) / (m - 1))
+    if sx == 0.0 or sy == 0.0:
+        return None
+    r = float(np.dot(dx, dy) / ((m - 1) * sx * sy))
+    return max(-1.0, min(1.0, r))
 
 
 def ncc(x: ChannelSeries, y: ChannelSeries, lag: int) -> float:
@@ -134,35 +133,53 @@ def ncc(x: ChannelSeries, y: ChannelSeries, lag: int) -> float:
     series.  Raises :class:`ConstantSeries` when either side has zero
     variance on the overlap.
     """
-    xs, ys = _overlap(x, y, lag)
-    m = len(xs)
-    sx = xs.std(ddof=1)
-    sy = ys.std(ddof=1)
-    if sx == 0.0 or sy == 0.0:
+    _check_binning(x, y)
+    skip_x, skip_y = max(-lag, 0), max(lag, 0)
+    m = min(len(x.counts) - skip_x, len(y.counts) - skip_y)
+    if m < 2:
+        raise InsufficientOverlap(f"overlap of {m} bins at lag {lag}")
+    xs = np.asarray(x.counts[skip_x : skip_x + m], dtype=float)
+    ys = np.asarray(y.counts[skip_y : skip_y + m], dtype=float)
+    score = _pearson(xs, ys)
+    if score is None:
         raise ConstantSeries(f"zero variance over {m}-bin overlap at lag {lag}")
-    r = float(np.dot(xs - xs.mean(), ys - ys.mean()) / ((m - 1) * sx * sy))
-    return max(-1.0, min(1.0, r))
+    return score
 
 
 def max_lag_ncc(
     x: ChannelSeries, y: ChannelSeries, max_lag: int = DEFAULT_MAX_LAG
 ) -> tuple[int, float]:
-    """(lag, score) maximizing ncc over lags 0..max_lag; smallest lag wins ties.
+    """(lag, score) maximizing :func:`ncc` over lags 0..max_lag; smallest lag
+    wins ties.
 
     Scores within 1e-12 count as tied, so float jitter between overlap
-    windows cannot steal a tie from the earlier lag.
+    windows cannot steal a tie from the earlier lag.  Lags past
+    ``len(y.counts) - 2`` overlap in fewer than two bins and are not tried,
+    so the cost does not grow with ``max_lag``.
     """
+    _check_binning(x, y)
+    xf = np.asarray(x.counts, dtype=float)
+    yf = np.asarray(y.counts, dtype=float)
     best: tuple[int, float] | None = None
-    for lag in range(max_lag + 1):
-        try:
-            score = ncc(x, y, lag)
-        except (ConstantSeries, InsufficientOverlap):
+    for lag in range(min(max_lag, len(yf) - 2) + 1):
+        m = min(len(xf), len(yf) - lag)
+        if m < 2:
             continue
-        if best is None or score > best[1] + 1e-12:
+        score = _pearson(xf[:m], yf[lag : lag + m])
+        if score is not None and (best is None or score > best[1] + 1e-12):
             best = (lag, score)
     if best is None:
         raise NoValidLag(f"no lag in [0, {max_lag}] admits a correlation")
     return best
+
+
+def check_indirect_options(threshold: float, max_lag: int, min_activity: int) -> None:
+    """The argument rules of :func:`infer_indirect`."""
+    if not -1 <= threshold <= 1:
+        raise ValidationError("threshold", f"must lie in [-1, 1], got {threshold}")
+    for name, value in (("max_lag", max_lag), ("min_activity", min_activity)):
+        if not value >= 0:
+            raise ValidationError(name, f"must be >= 0, got {value}")
 
 
 def infer_indirect(
@@ -178,11 +195,7 @@ def infer_indirect(
     downstream one.  Pairs where either channel is constant are skipped;
     a dependency is emitted when the best lagged score reaches ``threshold``.
     """
-    if not -1 <= threshold <= 1:
-        raise ValidationError("threshold", f"must lie in [-1, 1], got {threshold}")
-    for name, value in (("max_lag", max_lag), ("min_activity", min_activity)):
-        if not value >= 0:
-            raise ValidationError(name, f"must be >= 0, got {value}")
+    check_indirect_options(threshold, max_lag, min_activity)
     active = [d for d in direct if d.flow_count >= min_activity]
     by_client: dict[str, list[DirectDependency]] = defaultdict(list)
     for d in active:
@@ -214,6 +227,16 @@ def infer_indirect(
     return found
 
 
+def check_retry_options(episode_gap: float, min_support: int, dominance: float) -> None:
+    """The argument rules of :func:`detect_retry_chains`."""
+    if not 0 <= episode_gap < math.inf:
+        raise ValidationError("episode_gap", f"must be finite and >= 0, got {episode_gap}")
+    if not min_support >= 0:
+        raise ValidationError("min_support", f"must be >= 0, got {min_support}")
+    if not 0 <= dominance <= 1:
+        raise ValidationError("dominance", f"must lie in [0, 1], got {dominance}")
+
+
 def detect_retry_chains(
     records: Iterable[FlowRecord],
     episode_gap: float = DEFAULT_EPISODE_GAP,
@@ -227,35 +250,46 @@ def detect_retry_chains(
     reported when its episode count reaches ``min_support`` and covers at
     least ``dominance`` of all the client's contacts with B.
     """
-    if not 0 <= episode_gap < math.inf:
-        raise ValidationError("episode_gap", f"must be finite and >= 0, got {episode_gap}")
-    if not min_support >= 0:
-        raise ValidationError("min_support", f"must be >= 0, got {min_support}")
+    check_retry_options(episode_gap, min_support, dominance)
     gap_us = int(round(episode_gap * 1e6))
-    per_client: dict[str, list[tuple[int, ServiceKey]]] = defaultdict(list)
-    for r in records:
-        client, service, _ = service_side(r)
-        per_client[client].append((r.ts_us, service))
+    index = channel_index(records)
+    if not len(index.row):
+        return []
+    # Each client's contacts in time order (file order on equal times).  A
+    # row is one (client, service), so a contact's next contact with another
+    # service is the first of the next run of equal rows, if that run is the
+    # same client's.
+    ids: dict[str, int] = {}
+    client_of_row = np.array(
+        [ids.setdefault(ch.client, len(ids)) for ch in index.channels], dtype=np.intp
+    )
+    order = np.lexsort((index.ts_us, client_of_row[index.row]))
+    row, ts = index.row[order], index.ts_us[order]
+    client = client_of_row[row]
+    new_run = row[1:] != row[:-1]
+    run_starts = np.append(np.flatnonzero(new_run) + 1, len(row))
+    nxt = run_starts[np.concatenate(([0], np.cumsum(new_run)))]
+    at = np.flatnonzero(nxt < len(row))
+    to = nxt[at]
+    episode = (client[at] == client[to]) & (ts[to] - ts[at] <= gap_us)
+    n_rows = len(index.channels)
+    pairs, supports = np.unique(row[at[episode]] * n_rows + row[to[episode]], return_counts=True)
+    totals = np.bincount(index.row, minlength=n_rows).tolist()
 
     chains: list[RetryChain] = []
-    for client in sorted(per_client):
-        contacts = sorted(per_client[client], key=lambda c: c[0])
-        episodes: dict[tuple[ServiceKey, ServiceKey], int] = defaultdict(int)
-        totals: dict[ServiceKey, int] = defaultdict(int)
-        for i, (ts, svc) in enumerate(contacts):
-            totals[svc] += 1
-            for j in range(i + 1, len(contacts)):
-                ts2, svc2 = contacts[j]
-                if ts2 - ts > gap_us:
-                    break
-                if svc2 != svc:
-                    episodes[(svc, svc2)] += 1
-                    break
-        for (first, fallback), support in sorted(
-            episodes.items(), key=lambda kv: (kv[0][0].label(), kv[0][1].label())
-        ):
-            if support >= min_support and support >= dominance * totals[first]:
-                chains.append(RetryChain(client, first, fallback, support, episode_gap))
+    for pair, support in zip(pairs.tolist(), supports.tolist()):
+        first, fallback = divmod(pair, n_rows)
+        if support >= min_support and support >= dominance * totals[first]:
+            chains.append(
+                RetryChain(
+                    index.channels[first].client,
+                    index.channels[first].service,
+                    index.channels[fallback].service,
+                    support,
+                    episode_gap,
+                )
+            )
+    chains.sort(key=lambda c: (c.client, c.first_contact.label(), c.fallback.label()))
     return chains
 
 

@@ -91,19 +91,21 @@ class FlowLog(list):
     """The records of one capture, in file order: a plain ``list`` of
     :class:`FlowRecord`.
 
-    :func:`bin_activity` keeps the channel index it builds on the log, with
-    its bin width and window and a snapshot of the records it read.  A later
-    call with the same bin width and window reuses the index only while the
-    log holds exactly those record objects in the same order, compared by
-    identity (``is``), never by value.  After an append, assignment,
-    deletion or reordering, the next call builds the index again.
+    The first call that needs the capture's channel index (:func:`bin_activity`,
+    :func:`~miakit.discovery.direct_dependencies`,
+    :func:`~miakit.discovery.detect_retry_chains`) keeps it on the log with a
+    snapshot of the records it read.  Later calls reuse it only while the log
+    holds exactly those record objects in the same order, compared by
+    identity (``is``), never by value.  After an append, assignment, deletion
+    or reordering, the next call builds the index again.
     """
 
-    # (width_us, t0, t1), tuple of the records indexed, channel -> bin numbers
-    _binned: tuple | None = None
+    # (tuple of the records indexed, their index)
+    _indexed: tuple | None = None
 
 
-_NO_BINS = np.empty(0, dtype=np.int64)
+INT64_MAX = 2**63 - 1
+_NO_TS = np.empty(0, dtype=np.int64)
 
 
 def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
@@ -117,6 +119,8 @@ def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
         packets = int(fields[7])
     except ValueError as exc:
         raise MalformedLine(line_no, str(exc)) from None
+    if not 0 <= ts_us <= INT64_MAX:
+        raise MalformedLine(line_no, f"ts_us {ts_us} out of range [0, {INT64_MAX}]")
     proto = fields[5]
     if proto not in ("tcp", "udp"):
         raise MalformedLine(line_no, f"proto must be tcp or udp, got {proto!r}")
@@ -204,31 +208,59 @@ def channel_of(record: FlowRecord) -> Channel:
     return Channel(client, service)
 
 
-def _channel_index(
-    records: Iterable[FlowRecord], t0: int, t1: int, width_us: int
-) -> dict[Channel, np.ndarray]:
-    """Bin numbers of the records in [t0, t1), one array per channel.
+class ChannelIndex:
+    """Every record of a capture by channel, built in one pass.
 
-    Each in-window record's channel, as in :func:`channel_of`, gets a row
-    number; one stable sort by row groups the bin numbers by channel.  Rows
-    are keyed by plain (client, host, port, proto) tuples, and each
-    :class:`Channel` is built once per row, not once per record.
+    ``channels`` holds one :class:`Channel` per row, numbered in order of
+    first appearance; ``row`` and ``ts_us`` give each record's row and
+    timestamp (int64), in record order.  ``ts_by_row`` is ``ts_us`` grouped
+    by row, ascending within a row: row ``k`` owns
+    ``ts_by_row[bounds[k]:bounds[k + 1]]``.  Nothing here depends on a bin
+    width or window.
     """
-    rows: dict[tuple[str, str, int, str], int] = {}
-    row_of: list[int] = []
-    bins: list[int] = []
-    for r in records:
-        if t0 <= r.ts_us < t1:
+
+    def __init__(self, records: Iterable[FlowRecord]):
+        rows: dict[tuple[str, str, int, str], int] = {}
+        row: list[int] = []
+        ts: list[int] = []
+        for r in records:
             client, host, port, _ = _service_endpoint(r)
-            row_of.append(rows.setdefault((client, host, port, r.proto), len(rows)))
-            bins.append((r.ts_us - t0) // width_us)
-    row_arr = np.array(row_of, dtype=np.intp)
-    grouped = np.array(bins, dtype=np.int64)[np.argsort(row_arr, kind="stable")]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(row_arr, minlength=len(rows)))))
-    return {
-        Channel(client, ServiceKey(host, port, proto)): grouped[bounds[i] : bounds[i + 1]]
-        for (client, host, port, proto), i in rows.items()
-    }
+            row.append(rows.setdefault((client, host, port, r.proto), len(rows)))
+            ts.append(r.ts_us)
+        self.channels = [
+            Channel(client, ServiceKey(host, port, proto)) for client, host, port, proto in rows
+        ]
+        self.row_of = {ch: k for k, ch in enumerate(self.channels)}
+        self.row = np.array(row, dtype=np.intp)
+        self.ts_us = np.array(ts, dtype=np.int64)
+        self.ts_by_row = self.ts_us[np.lexsort((self.ts_us, self.row))]
+        self.bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.row, minlength=len(rows))))
+        )
+
+
+def channel_index(records: Iterable[FlowRecord]) -> ChannelIndex:
+    """The :class:`ChannelIndex` of ``records``: kept on a :class:`FlowLog`
+    while it holds the same record objects, built for this call otherwise."""
+    if not isinstance(records, FlowLog):
+        return ChannelIndex(records)
+    kept = records._indexed
+    if not (
+        kept is not None
+        and len(records) == len(kept[0])
+        and all(map(operator.is_, records, kept[0]))
+    ):
+        snapshot = tuple(records)
+        kept = records._indexed = (snapshot, ChannelIndex(snapshot))
+    return kept[1]
+
+
+def bin_width_us(bin_width: float) -> int:
+    """``bin_width`` seconds in whole microseconds; it must be finite and at
+    least 1e-06."""
+    if not 1e-6 <= bin_width < math.inf:
+        raise ValidationError("bin_width", f"must be finite and >= 1e-06, got {bin_width}")
+    return int(round(bin_width * 1e6))
 
 
 def bin_activity(
@@ -239,34 +271,21 @@ def bin_activity(
 ) -> ChannelSeries:
     """Per-bin flow counts for ``channel`` over ``window`` = [t0_us, t1_us).
 
-    One pass over the records bins every channel of the window at once.  On
-    a :class:`FlowLog` that index is kept on the log and reused by later
-    calls with the same bin width and window for as long as the log holds
-    the same record objects (by identity) in the same order; any other
-    iterable is indexed for this call only.  ``counts`` is a new int64
-    array on every call.
+    The counts come from the capture's :func:`channel_index`, which a
+    :class:`FlowLog` keeps across calls of any bin width and window.
+    ``counts`` is a new int64 array on every call.
     """
     t0, t1 = window
     if t0 >= t1:
         raise EmptyWindow(f"window [{t0}, {t1}) is empty")
-    if not 1e-6 <= bin_width < math.inf:
-        raise ValidationError("bin_width", f"must be finite and >= 1e-06, got {bin_width}")
-    width_us = int(round(bin_width * 1e6))
+    width_us = bin_width_us(bin_width)
     n_bins = -(-(t1 - t0) // width_us)  # ceil division
-    if isinstance(records, FlowLog):
-        key = (width_us, t0, t1)
-        cached = records._binned
-        if not (
-            cached is not None
-            and cached[0] == key
-            and len(records) == len(cached[1])
-            and all(map(operator.is_, records, cached[1]))
-        ):
-            snapshot = tuple(records)
-            cached = records._binned = (key, snapshot, _channel_index(snapshot, t0, t1, width_us))
-        index = cached[2]
+    index = channel_index(records)
+    k = index.row_of.get(channel)
+    if k is None:
+        ts = _NO_TS
     else:
-        index = _channel_index(records, t0, t1, width_us)
-    counts = np.bincount(index.get(channel, _NO_BINS), minlength=n_bins)
-    counts = counts.astype(np.int64, copy=False)
-    return ChannelSeries(channel, bin_width, t0, counts)
+        ts = index.ts_by_row[index.bounds[k] : index.bounds[k + 1]]
+        ts = ts[(ts >= t0) & (ts < t1)]
+    counts = np.bincount((ts - t0) // width_us, minlength=n_bins)
+    return ChannelSeries(channel, bin_width, t0, counts.astype(np.int64, copy=False))

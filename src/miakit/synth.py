@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .fields import ValidationError, _list, _mapping, _read_float, _require
-from .flows import Channel, FlowRecord, ServiceKey, parse_service
+from .flows import Channel, FlowRecord, ServiceKey, bin_width_us, parse_service
 from .scenario import read_yaml
 
 SCHEMA_VERSION = 1
@@ -100,8 +100,7 @@ def gen_flows(
     if not 0 < duration_s < math.inf:
         raise ValidationError("duration_s", f"must be finite and > 0, got {duration_s}")
     bin_width = _read_float(topology.get("bin_width", 1.0), "bin_width")
-    if not bin_width > 0:
-        raise ValidationError("bin_width", "must be positive")
+    bin_width_us(bin_width)
 
     records: list[FlowRecord] = []
     truth: dict[str, Any] = {

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import time
 
 import pytest
 import yaml
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miakit import cli as cli_mod
+from miakit import discovery
 from miakit import mission as mission_mod
 from miakit import scenario as scenario_mod
 from miakit.cli import main
+from miakit.flows import FLOW_HEADER, bin_activity, parse_flows
 from miakit.kernel import Distribution
 from miakit.scenario import (
     ValidationError,
@@ -341,6 +345,21 @@ class TestCliDiscover:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_max_lag_past_the_series_costs_no_more(self, tmp_path):
+        flows_path, _ = self._gen(tmp_path, topology="cascade_clean.yaml")
+        records = parse_flows(flows_path)
+        span = max(r.ts_us for r in records) + 1 - min(r.ts_us for r in records)
+        n_bins = -(-span // 1_000_000)
+        docs = []
+        for max_lag in (10**12, n_bins - 2):
+            out = tmp_path / f"deps{max_lag}.yaml"
+            start = time.perf_counter()
+            assert main(["discover", "--flows", flows_path, "--max-lag", str(max_lag),
+                         "--out", str(out)]) == 0
+            assert time.perf_counter() - start < 60
+            docs.append(yaml.safe_load(out.read_text()))
+        assert docs[0]["indirect"] and docs[0]["indirect"] == docs[1]["indirect"]
+
     def test_missing_flow_file_is_domain_error(self, tmp_path):
         rc = main(["discover", "--flows", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -349,6 +368,64 @@ class TestCliDiscover:
         with pytest.raises(SystemExit) as err:
             main(["discover", "--no-such-flag"])
         assert err.value.code == 2
+
+
+# SHA-256 of ``discover`` output (deps.yaml, graph.yaml) and of the full
+# inference result, with every score as ``repr``, for ``gen-flows --seed 7``.
+DISCOVER_GOLDEN = {
+    "cascade_noisy.yaml": (
+        "00706c4b8c88ca06122082deb3e932560dda4dbab83b3f855aa2a876ff6d1094",
+        "d8f980db49af23beb34c75ac936b2a32a8f83720595f34b9d11b4cee55da71ae",
+        "025e7fc5ed87d2a43b960579e05f3417047c4a8677741464d7079cd07c4b2571",
+    ),
+    "retry_fixture.yaml": (
+        "a0d36a012697af644fe2e029a2d515a76acebdd48d71a7eb07043d266bc4ead1",
+        "95a9fa91e9bc617f506ac3d731f5d6345de40324b8853daad2bcdb5ac8a48f45",
+        "6c823653fd5e2303d8f63b1bc5ecebf39b26f103d69edd3b0f0afa0d23cc80d3",
+    ),
+}
+
+
+def inference_digest(flows_path):
+    records = parse_flows(flows_path)
+    direct = discovery.direct_dependencies(records)
+    window = (min(r.ts_us for r in records), max(r.ts_us for r in records) + 1)
+    indirect = discovery.infer_indirect(
+        direct, lambda ch: bin_activity(records, ch, 1.0, window)
+    )
+    chains = discovery.detect_retry_chains(records)
+    lines = [f"D {d.client} {d.service.label()} {d.flow_count} {d.first_seen_us} "
+             f"{d.last_seen_us}" for d in direct]
+    lines += [f"I {i.upstream.label()} {i.downstream.label()} {i.lag_bins} {i.score!r}"
+              for i in indirect]
+    lines += [f"R {c.client} {c.first_contact.label()} {c.fallback.label()} {c.support}"
+              for c in chains]
+    return "\n".join(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestDiscoverGolden:
+    @pytest.mark.parametrize("topology", sorted(DISCOVER_GOLDEN))
+    def test_discover_output_is_pinned(self, tmp_path, monkeypatch, topology):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-flows", "--topology", bundled_path(topology), "--seed", "7",
+                     "--out", "flows.csv"]) == 0
+        assert main(["discover", "--flows", "flows.csv", "--out", "deps.yaml",
+                     "--graph-out", "graph.yaml"]) == 0
+        lines, digest = inference_digest("flows.csv")
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("deps.yaml", "graph.yaml")
+        ) + (digest,)
+        assert got == DISCOVER_GOLDEN[topology]
+
+    def test_golden_covers_indirect_scores_and_retry_chains(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        kinds = set()
+        for topology in DISCOVER_GOLDEN:
+            assert main(["gen-flows", "--topology", bundled_path(topology), "--seed", "7",
+                         "--out", "flows.csv"]) == 0
+            kinds |= {line[0] for line in inference_digest("flows.csv")[0].splitlines()}
+        assert kinds == {"D", "I", "R"}
 
 
 class TestCliGenFlows:
@@ -798,6 +875,9 @@ BAD_TOPOLOGIES = [
                    "rate_per_s": 1, "gap_s": -0.5}]},
      "retries[0].gap_s: must be finite and >= 0, got -0.5"),
     ({"duration_s": 0}, "duration_s: must be finite and > 0, got 0.0"),
+    ({"bin_width": float("inf")}, "bin_width: must be finite and >= 1e-06, got inf"),
+    ({"bin_width": 1e-9}, "bin_width: must be finite and >= 1e-06, got 1e-09"),
+    ({"bin_width": 0}, "bin_width: must be finite and >= 1e-06, got 0.0"),
 ]
 
 
@@ -849,6 +929,18 @@ def one_error_line(capsys, argv):
     """The stderr lines of ``main(argv)``, which must exit 1."""
     assert main(argv) == 1
     return capsys.readouterr().err.splitlines()
+
+
+BAD_DISCOVER_OPTIONS = [
+    ("--bin-width", "0", "error: bin_width: must be finite and >= 1e-06, got 0.0"),
+    ("--bin-width", "nan", "error: bin_width: must be finite and >= 1e-06, got nan"),
+    ("--episode-gap", "inf", "error: episode_gap: must be finite and >= 0, got inf"),
+    ("--max-lag", "-1", "error: max_lag: must be >= 0, got -1"),
+    ("--min-activity", "-5", "error: min_activity: must be >= 0, got -5"),
+    ("--min-support", "-1", "error: min_support: must be >= 0, got -1"),
+    ("--ncc-threshold", "nan", "error: threshold: must lie in [-1, 1], got nan"),
+    ("--ncc-threshold", "1.5", "error: threshold: must lie in [-1, 1], got 1.5"),
+]
 
 
 class TestInputErrors:
@@ -926,16 +1018,7 @@ class TestInputErrors:
         assert one_error_line(capsys, argv + ["--out", str(out)]) == [want]
         assert not out.exists()
 
-    @pytest.mark.parametrize("option,value,want", [
-        ("--bin-width", "0", "error: bin_width: must be finite and >= 1e-06, got 0.0"),
-        ("--bin-width", "nan", "error: bin_width: must be finite and >= 1e-06, got nan"),
-        ("--episode-gap", "inf", "error: episode_gap: must be finite and >= 0, got inf"),
-        ("--max-lag", "-1", "error: max_lag: must be >= 0, got -1"),
-        ("--min-activity", "-5", "error: min_activity: must be >= 0, got -5"),
-        ("--min-support", "-1", "error: min_support: must be >= 0, got -1"),
-        ("--ncc-threshold", "nan", "error: threshold: must lie in [-1, 1], got nan"),
-        ("--ncc-threshold", "1.5", "error: threshold: must lie in [-1, 1], got 1.5"),
-    ])
+    @pytest.mark.parametrize("option,value,want", BAD_DISCOVER_OPTIONS)
     def test_bad_discover_option_is_one_error_line(self, tmp_path, capsys, option, value, want):
         flows_path = str(tmp_path / "flows.csv")
         assert main(["gen-flows", "--topology", bundled_path("cascade_clean.yaml"),
@@ -943,6 +1026,38 @@ class TestInputErrors:
         capsys.readouterr()
         argv = ["discover", "--flows", flows_path, option, value, "--out", str(tmp_path / "d")]
         assert one_error_line(capsys, argv) == [want]
+
+    @pytest.mark.parametrize("capture", ["header-only", "below-min-activity"])
+    @pytest.mark.parametrize("option,value,want", BAD_DISCOVER_OPTIONS + [
+        ("--bin-width", "-1", "error: bin_width: must be finite and >= 1e-06, got -1.0"),
+    ])
+    def test_bad_discover_option_rejected_whatever_the_capture(
+        self, tmp_path, capsys, capture, option, value, want
+    ):
+        rows = {"header-only": "", "below-min-activity": "1,c,51514,s,443,tcp,10,1\n"
+                                                         "2,c,51515,s,443,tcp,10,1\n"}
+        path = tmp_path / "flows.csv"
+        path.write_text(FLOW_HEADER + "\n" + rows[capture])
+        out = tmp_path / "d"
+        argv = ["discover", "--flows", str(path), option, value, "--out", str(out)]
+        assert one_error_line(capsys, argv) == [want]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_timestamp_outside_int64(self, tmp_path, capsys, strict):
+        path = tmp_path / "flows.csv"
+        path.write_text(FLOW_HEADER + "\n1,c,51514,s,443,tcp,10,1\n"
+                        f"{10**30},c,51514,s,443,tcp,10,1\n")
+        out = tmp_path / "d.yaml"
+        argv = ["discover", "--flows", str(path), "--out", str(out)]
+        if strict:
+            assert one_error_line(capsys, argv + ["--strict"]) == [
+                f"error: line 3: ts_us {10**30} out of range [0, {2**63 - 1}]"
+            ]
+        else:
+            assert main(argv) == 0
+            params = yaml.safe_load(out.read_text())["parameters"]
+            assert (params["records"], params["malformed_skipped"]) == (1, 1)
 
     @pytest.mark.parametrize("command", ["report", "discover"])
     def test_text_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):

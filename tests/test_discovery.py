@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from miakit.discovery import (
     DEFAULT_EPISODE_GAP,
     DEFAULT_MIN_SUPPORT,
     ConstantSeries,
+    DirectDependency,
     InsufficientOverlap,
     MismatchedBinning,
     NoValidLag,
@@ -27,12 +29,15 @@ from miakit.discovery import (
     ncc,
     retry_key,
 )
+from miakit.fields import ValidationError
 from miakit.flows import (
     Channel,
     ChannelSeries,
+    FlowLog,
     FlowRecord,
     ServiceKey,
     bin_activity,
+    channel_of,
     service_side,
 )
 from miakit.synth import gen_flows, truth_indirect_keys, truth_retry_keys
@@ -169,6 +174,101 @@ class TestMaxLag:
     def test_no_valid_lag(self):
         with pytest.raises(NoValidLag):
             max_lag_ncc(series([2, 2, 2, 2]), series([1, 5, 1, 5]), 2)
+
+
+def methods_ncc(x, y, lag):
+    """Reference: ``ncc`` written with ``ndarray.mean`` and
+    ``ndarray.std(ddof=1)``, converting each overlap to float."""
+    if lag < 0:
+        m = min(len(y.counts), len(x.counts) + lag)
+        xs, ys = x.counts[-lag : -lag + m], y.counts[:m]
+    else:
+        m = min(len(x.counts), len(y.counts) - lag)
+        xs, ys = x.counts[:m], y.counts[lag : lag + m]
+    if m < 2:
+        raise InsufficientOverlap(m)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    sx = xs.std(ddof=1)
+    sy = ys.std(ddof=1)
+    if sx == 0.0 or sy == 0.0:
+        raise ConstantSeries(m)
+    r = float(np.dot(xs - xs.mean(), ys - ys.mean()) / ((m - 1) * sx * sy))
+    return max(-1.0, min(1.0, r))
+
+
+def lag_loop(x, y, max_lag, score=ncc):
+    """Reference: the best lag of ``score`` over 0..max_lag, one call per lag,
+    with the 1e-12 tie rule; None when no lag scores."""
+    best = None
+    for lag in range(max_lag + 1):
+        try:
+            s = score(x, y, lag)
+        except (ConstantSeries, InsufficientOverlap):
+            continue
+        if best is None or s > best[1] + 1e-12:
+            best = (lag, s)
+    return best
+
+
+def int_series(counts):
+    ch = Channel("x", ServiceKey("svc", 80, "tcp"))
+    return ChannelSeries(ch, 1.0, 0, np.asarray(counts, dtype=np.int64))
+
+
+# Integer count series, some built from constant stretches.
+count_series = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=9), max_size=40),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=9)),
+             max_size=8).map(lambda runs: [v for v, n in runs for _ in range(n)]),
+)
+
+
+class TestLagScan:
+    @given(xs=count_series, ys=count_series, lag=st.integers(min_value=-45, max_value=45))
+    @settings(max_examples=300, deadline=None)
+    def test_ncc_is_bit_identical_to_ndarray_mean_and_std(self, xs, ys, lag):
+        x, y = int_series(xs), int_series(ys)
+        try:
+            want = methods_ncc(x, y, lag)
+        except (ConstantSeries, InsufficientOverlap) as exc:
+            with pytest.raises(type(exc)):
+                ncc(x, y, lag)
+            return
+        assert ncc(x, y, lag) == want
+
+    @given(xs=count_series, ys=count_series, max_lag=st.integers(min_value=0, max_value=50))
+    @settings(max_examples=300, deadline=None)
+    def test_max_lag_ncc_equals_the_per_lag_ncc_loop(self, xs, ys, max_lag):
+        x, y = int_series(xs), int_series(ys)
+        want = lag_loop(x, y, max_lag)
+        if want is None:
+            with pytest.raises(NoValidLag):
+                max_lag_ncc(x, y, max_lag)
+        else:
+            assert max_lag_ncc(x, y, max_lag) == want
+
+    def test_long_poisson_pairs_match_the_methods_loop(self):
+        # Long enough for numpy's pairwise summation to split into blocks.
+        rng = np.random.default_rng(3000)
+        for _ in range(60):
+            x = int_series(rng.poisson(rng.uniform(0.2, 6.0), int(rng.integers(150, 400))))
+            y = int_series(rng.poisson(rng.uniform(0.2, 6.0), int(rng.integers(150, 400))))
+            max_lag = int(rng.integers(0, 40))
+            assert max_lag_ncc(x, y, max_lag) == lag_loop(x, y, max_lag, methods_ncc)
+
+    def test_lag_range_is_bounded_by_the_series(self):
+        rng = np.random.default_rng(5)
+        x = int_series(rng.poisson(3.0, 300))
+        y = int_series(rng.poisson(3.0, 300))
+        start = time.perf_counter()
+        got = max_lag_ncc(x, y, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert got == max_lag_ncc(x, y, len(y.counts) - 2)
+
+    def test_mismatched_binning_checked_once_up_front(self):
+        with pytest.raises(MismatchedBinning):
+            max_lag_ncc(series([1, 2, 3]), series([1, 2, 3], start=10), 0)
 
 
 def _poisson_records(rng, client, service, rate, duration_s):
@@ -400,6 +500,137 @@ class TestRetryChainOracle:
     def test_index_walk_matches_slice_loop(self, records, episode_gap, min_support, dominance):
         got = detect_retry_chains(records, episode_gap, min_support, dominance)
         assert got == slice_retry_chains(records, episode_gap, min_support, dominance)
+
+
+def record_direct_dependencies(records):
+    """Reference: the per-record aggregation ``direct_dependencies`` ran
+    before it read the capture's channel index."""
+    agg = {}
+    for r in records:
+        ch = channel_of(r)
+        entry = agg.get(ch)
+        if entry is None:
+            agg[ch] = [1, r.ts_us, r.ts_us]
+        else:
+            entry[0] += 1
+            entry[1] = min(entry[1], r.ts_us)
+            entry[2] = max(entry[2], r.ts_us)
+    out = [
+        DirectDependency(ch.client, ch.service, count, first, last)
+        for ch, (count, first, last) in agg.items()
+    ]
+    out.sort(key=lambda d: (d.client, d.service.label()))
+    return out
+
+
+def record_retry_chains(records, episode_gap, min_support, dominance):
+    """Reference: the per-record walk ``detect_retry_chains`` ran before it
+    read the capture's channel index."""
+    gap_us = int(round(episode_gap * 1e6))
+    per_client = defaultdict(list)
+    for r in records:
+        client, service, _ = service_side(r)
+        per_client[client].append((r.ts_us, service))
+
+    chains = []
+    for client in sorted(per_client):
+        contacts = sorted(per_client[client], key=lambda c: c[0])
+        episodes = defaultdict(int)
+        totals = defaultdict(int)
+        for i, (ts, svc) in enumerate(contacts):
+            totals[svc] += 1
+            for j in range(i + 1, len(contacts)):
+                ts2, svc2 = contacts[j]
+                if ts2 - ts > gap_us:
+                    break
+                if svc2 != svc:
+                    episodes[(svc, svc2)] += 1
+                    break
+        for (first, fallback), support in sorted(
+            episodes.items(), key=lambda kv: (kv[0][0].label(), kv[0][1].label())
+        ):
+            if support >= min_support and support >= dominance * totals[first]:
+                chains.append(RetryChain(client, first, fallback, support, episode_gap))
+    return chains
+
+
+# Flows between a few hosts with either side on the lower port, on a coarse
+# time grid so that equal timestamps and short gaps are common.
+indexed_flow = st.builds(
+    lambda tick, src, sport, dst, dport, proto: FlowRecord(
+        tick * 250_000, src, sport, dst, dport, proto, 10, 1
+    ),
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from(["hmi", "ws", "a"]),
+    st.sampled_from([55000, 443, 53]),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([53, 2404, 60000]),
+    st.sampled_from(["tcp", "udp"]),
+)
+
+
+def assert_index_readers_match(records, source, retry_options):
+    assert direct_dependencies(source()) == record_direct_dependencies(records)
+    assert detect_retry_chains(source(), *retry_options) == record_retry_chains(
+        records, *retry_options
+    )
+
+
+retry_options = st.tuples(
+    st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+)
+
+
+class TestIndexReadersMatchPerRecordCode:
+    @given(records=st.lists(indexed_flow, max_size=120), options=retry_options)
+    @settings(max_examples=150, deadline=None)
+    def test_log_list_and_generator(self, records, options):
+        log = FlowLog(records)
+        for source in (lambda: log, lambda: list(records), lambda: (r for r in records)):
+            assert_index_readers_match(records, source, options)
+
+    @given(
+        records=st.lists(indexed_flow, min_size=1, max_size=60),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["append", "set", "del", "sort"]),
+                      st.integers(min_value=0, max_value=10**6), indexed_flow),
+            min_size=1, max_size=4,
+        ),
+        options=retry_options,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_log_edited_after_indexing(self, records, edits, options):
+        log = FlowLog(records)
+        assert_index_readers_match(list(log), lambda: log, options)
+        for op, k, record in edits:
+            if op == "append":
+                log.append(record)
+            elif op == "set" and log:
+                log[k % len(log)] = record
+            elif op == "del" and log:
+                del log[k % len(log)]
+            elif op == "sort":
+                log.sort(key=lambda r: (-r.ts_us, r.src_port))
+            assert_index_readers_match(list(log), lambda: log, options)
+
+    def test_int64_timestamp_bounds(self):
+        records = [FlowRecord(t, "c", 55000, "s", 443, "tcp", 1, 1) for t in (2**63 - 1, 0)]
+        (dep,) = direct_dependencies(FlowLog(records))
+        assert (dep.first_seen_us, dep.last_seen_us) == (0, 2**63 - 1)
+        assert type(dep.first_seen_us) is int and type(dep.flow_count) is int
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"episode_gap": -1.0}, "episode_gap"),
+        ({"min_support": -1}, "min_support"),
+        ({"dominance": 1.5}, "dominance"),
+        ({"dominance": math.nan}, "dominance"),
+    ])
+    def test_retry_options_checked_on_an_empty_capture(self, kwargs, field):
+        with pytest.raises(ValidationError) as err:
+            detect_retry_chains([], **kwargs)
+        assert err.value.field == field
 
 
 class TestEvaluate:

@@ -63,6 +63,26 @@ class TestParsing:
         with pytest.raises(MalformedLine):
             parse_flows(FLOW_HEADER + "\n" + row + "\n")
 
+    @pytest.mark.parametrize("ts", [-1, 2**63, 10**30])
+    def test_timestamp_outside_int64_rejected(self, ts):
+        with pytest.raises(MalformedLine) as err:
+            parse_flows(FLOW_HEADER + f"\n{ts},a,1,b,443,tcp,10,1\n")
+        assert err.value.line_no == 2
+        assert err.value.reason == f"ts_us {ts} out of range [0, {2**63 - 1}]"
+
+    def test_int64_timestamp_bounds_accepted(self):
+        text = FLOW_HEADER + f"\n0,a,51514,b,443,tcp,10,1\n{2**63 - 1},a,51514,b,443,tcp,10,1\n"
+        log = parse_flows(text)
+        assert [r.ts_us for r in log] == [0, 2**63 - 1]
+        series = bin_activity(log, channel_of(log[0]), 1.0, (2**63 - 2_000_000, 2**63))
+        assert list(series.counts) == [0, 1]
+
+    def test_lenient_mode_skips_out_of_range_timestamp(self):
+        text = FLOW_HEADER + f"\n1,a,1,b,443,tcp,10,1\n{2**63},a,1,b,443,tcp,10,1\n"
+        skipped = []
+        assert len(parse_flows(text, strict=False, malformed=skipped)) == 1
+        assert [line for line, _ in skipped] == [3]
+
     def test_lenient_mode_skips_and_tallies(self):
         text = FLOW_HEADER + "\n1,a,1,b,443,tcp,10,1\nbad,line\n2,a,1,b,443,tcp,10,1\n"
         skipped = []
