@@ -273,7 +273,9 @@ def bin_activity(
 
     The counts come from the capture's :func:`channel_index`, which a
     :class:`FlowLog` keeps across calls of any bin width and window.
-    ``counts`` is a new int64 array on every call.
+    ``counts`` is a new int64 array on every call.  A window with more bins
+    than numpy can allocate is a :class:`~miakit.fields.ValidationError` on
+    ``bin_width``.
     """
     t0, t1 = window
     if t0 >= t1:
@@ -287,5 +289,9 @@ def bin_activity(
     else:
         ts = index.ts_by_row[index.bounds[k] : index.bounds[k + 1]]
         ts = ts[(ts >= t0) & (ts < t1)]
-    counts = np.bincount((ts - t0) // width_us, minlength=n_bins)
+    try:
+        counts = np.bincount((ts - t0) // width_us, minlength=n_bins)
+    except (MemoryError, OverflowError, ValueError):  # numpy's three ways to refuse the size
+        reason = f"window [{t0}, {t1}) needs {n_bins} bins of {bin_width} s, too many to hold"
+        raise ValidationError("bin_width", reason) from None
     return ChannelSeries(channel, bin_width, t0, counts.astype(np.int64, copy=False))

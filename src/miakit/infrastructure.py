@@ -7,13 +7,15 @@ once; each replication works on an :class:`InfrastructureGraph`, a light
 overlay giving every asset a time-varying operational state.  Analyses on
 top of the graph include reverse reachability, static impact propagation
 with witness chains, and a performance factor that composes degradation
-along dependency paths, re-evaluated only where a state change reaches.
+along dependency paths, re-evaluated only where a state change reaches
+and remembered per state on the topology.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
@@ -133,6 +135,10 @@ class AssetState:
 
 OPERATIONAL = AssetState("operational")
 
+# Most performance maps a topology remembers (about 70 KB each on a 2.1k-asset
+# graph); once full it stores no more and evicts nothing.
+MEMO_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class StateChange:
@@ -149,9 +155,16 @@ class Topology:
     asset's exploits; each subnet's members; the strongly connected
     components of the dependency graph in dependency order, with the
     external inputs of each; and every component's performance when all
-    assets are operational.  Nothing here changes after construction, so
-    any number of replications (and threads) share one topology, each
-    through its own :class:`InfrastructureGraph` overlay.
+    assets are operational.  The structure never changes after
+    construction, so any number of replications (and threads) share one
+    topology, each through its own :class:`InfrastructureGraph` overlay.
+
+    The one thing that grows is ``_memo``: component values and performance
+    map per state, keyed by ``frozenset((asset, own_factor))`` over the
+    assets whose own factor is not 1.0, at most :data:`MEMO_LIMIT` entries.
+    A map is a pure function of the own factors, so an entry does not
+    depend on which overlay stored it or when.  Stored objects are never
+    mutated: overlays share them and copy before they re-evaluate.
     """
 
     def __init__(
@@ -229,8 +242,10 @@ class Topology:
         perf: dict[str, float] = {}
         operational = dict.fromkeys(self.assets, OPERATIONAL)
         _reevaluate(self, list(range(len(values))), operational, values, perf)
-        self.operational_values = tuple(values)
-        self.operational_perf = perf
+        self._memo: dict[frozenset, tuple[list[float], dict[str, float]]] = {
+            frozenset(): (values, perf)
+        }
+        self._memo_lock = threading.Lock()  # holds the size check and store together
 
 
 class InfrastructureGraph:
@@ -239,7 +254,9 @@ class InfrastructureGraph:
     Owns the per-asset states, the history of changes, the change listeners
     and a performance map that ``set_state`` marks stale and the next read
     brings up to date.  The structure (``assets``, ``edges``, adjacency) is
-    the topology's own objects, never copied.
+    the topology's own objects, never copied.  The component values and
+    performance map may be the objects in the topology's memo, so the
+    overlay copies them before it re-evaluates.
     """
 
     def __init__(self, topology: Topology):
@@ -253,9 +270,9 @@ class InfrastructureGraph:
         self.history: list[StateChange] = []
         self.annotations: list[dict] = []
         self._listeners: list[Callable[[StateChange], None]] = []
-        self._values = list(topology.operational_values)
-        self._perf = dict(topology.operational_perf)
+        self._values, self._perf = topology._memo[frozenset()]
         self._dirty: set[str] = set()
+        self._off_nominal: dict[str, float] = {}  # own factor of each asset not at 1.0
 
     # -- queries ------------------------------------------------------------
 
@@ -406,6 +423,11 @@ def set_state(
     graph.states[asset_id] = stamped
     graph.history.append(change)
     graph._dirty.add(asset_id)
+    factor = stamped.own_factor()
+    if factor == 1.0:
+        graph._off_nominal.pop(asset_id, None)
+    else:
+        graph._off_nominal[asset_id] = factor
     for listener in graph._listeners:
         listener(change)
     return change
@@ -565,17 +587,36 @@ def effective_performance_all(graph: InfrastructureGraph) -> dict[str, float]:
     a dependency cycle share one value: the min of their own-state factors,
     scaled by the cycle's external dependencies.
 
-    Only the components reached by state changes since the last call are
-    re-evaluated (see :func:`_reevaluate`); the result is the same as a
-    full evaluation over the topology's components.
+    A state the topology has seen before is read from its memo; otherwise
+    only the components reached by state changes since the last call are
+    re-evaluated (see :func:`_reevaluate`) and the result stored.  Either
+    way it is the same as a full evaluation over the topology's components.
     """
-    if graph._dirty:
-        pending = sorted({graph.topology._comp_of[a] for a in graph._dirty})
-        graph._dirty.clear()
-        _reevaluate(graph.topology, pending, graph.states, graph._values, graph._perf)
+    _bring_up_to_date(graph)
     return dict(graph._perf)
 
 
 def effective_performance(graph: InfrastructureGraph, asset_id: str) -> float:
     graph.require(asset_id)
-    return effective_performance_all(graph)[asset_id]
+    _bring_up_to_date(graph)
+    return graph._perf[asset_id]
+
+
+def _bring_up_to_date(graph: InfrastructureGraph) -> None:
+    """Make ``graph._perf`` the map of its current states."""
+    if not graph._dirty:
+        return
+    topology = graph.topology
+    key = frozenset(graph._off_nominal.items())
+    stored = topology._memo.get(key)
+    if stored is not None:
+        graph._values, graph._perf = stored
+    else:
+        graph._values, graph._perf = list(graph._values), dict(graph._perf)
+        pending = sorted({topology._comp_of[a] for a in graph._dirty})
+        _reevaluate(topology, pending, graph.states, graph._values, graph._perf)
+        # Threads missing on one key at once store equal values.
+        with topology._memo_lock:
+            if len(topology._memo) < MEMO_LIMIT:
+                topology._memo[key] = (graph._values, graph._perf)
+    graph._dirty.clear()

@@ -1059,6 +1059,30 @@ class TestInputErrors:
             params = yaml.safe_load(out.read_text())["parameters"]
             assert (params["records"], params["malformed_skipped"]) == (1, 1)
 
+    # Each width makes numpy refuse the series differently: too large for the
+    # address space (MemoryError), over its size limit (ValueError), past
+    # int64 (OverflowError).  The default 1 s width needs 67 TiB, which a host
+    # that overcommits memory without limit may grant.
+    @pytest.mark.parametrize("last_ts,bin_width,n_bins", [
+        (2**63 - 1, "0.001", 2**63 // 1000 + 1),
+        (2**62, "0.000001", 2**62 + 1),
+        (2**63 - 1, "0.000001", 2**63),
+    ])
+    def test_window_too_long_to_bin_is_one_error_line(
+        self, tmp_path, capsys, last_ts, bin_width, n_bins
+    ):
+        path = tmp_path / "huge.csv"
+        path.write_text(FLOW_HEADER + "\n0,c,40000,b,80,tcp,100,1\n"
+                        f"{last_ts},b,40001,s,443,tcp,100,1\n")
+        out = tmp_path / "d.yaml"
+        argv = ["discover", "--flows", str(path), "--min-activity", "1",
+                "--bin-width", bin_width, "--out", str(out)]
+        assert one_error_line(capsys, argv) == [
+            f"error: bin_width: window [0, {last_ts + 1}) needs {n_bins} bins"
+            f" of {float(bin_width)} s, too many to hold"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["report", "discover"])
     def test_text_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
         path = tmp_path / "bad.csv"

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miakit.infrastructure import (
+    MEMO_LIMIT,
     AssetState,
     DanglingReference,
     DuplicateId,
+    InfrastructureGraph,
     SelfLoop,
     TimeRegression,
     UnknownAsset,
@@ -486,4 +488,143 @@ class TestScenarioOverlays:
                 threaded = list(pool.map(lambda k: sc.run_replication(k, 5), range(12)))
         finally:
             sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
+# ---------------------------------------------------------------------------
+# Performance maps remembered per state on the topology
+
+# Few states, so walks revisit them; equal own factors from different modes
+# share a memo entry, different factors on one asset must not.
+MEMO_STATES = st.sampled_from(
+    [AssetState("operational"), AssetState("unavailable"), AssetState("integrity_compromised"),
+     AssetState("degraded", factor=0.25), AssetState("degraded", factor=0.5)]
+)
+
+
+@st.composite
+def graph_and_walks(draw):
+    """A small graph, one change sequence that every overlay walks, and the
+    order in which the overlays take their steps."""
+    spec, _ = draw(graph_and_changes())
+    ids = [a["id"] for a in spec["assets"]]
+    # At most 12 states read, so the table never fills here.
+    changes = draw(st.lists(st.tuples(st.sampled_from(ids), MEMO_STATES, st.booleans()),
+                            min_size=1, max_size=12))
+    n_overlays = draw(st.integers(2, 4))
+    order = draw(st.permutations([k for k in range(n_overlays) for _ in changes]))
+    return spec, changes, n_overlays, order
+
+
+def memo_key(graph):
+    """The state a performance map belongs to, read from the states alone."""
+    return frozenset((a, s.own_factor()) for a, s in graph.states.items() if s.own_factor() != 1.0)
+
+
+def assert_memo_exact(topology):
+    """Every stored map equals a from-scratch evaluation of its own state."""
+    assert len(topology._memo) <= MEMO_LIMIT
+    for key, (values, perf) in topology._memo.items():
+        probe = InfrastructureGraph(topology)
+        for asset, factor in key:
+            mode = "unavailable" if factor == 0.0 else "degraded"
+            probe.states[asset] = AssetState(mode, factor if factor else None)
+        assert perf == from_scratch_performance(probe)
+        assert sorted(set(values)) == sorted(set(perf.values()))
+
+
+class TestPerformanceMemo:
+    @settings(max_examples=120, deadline=None)
+    @given(graph_and_walks())
+    def test_interleaved_overlays_match_from_scratch(self, case):
+        spec, changes, n_overlays, order = case
+        first = build_graph(spec)
+        overlays = [first] + [InfrastructureGraph(first.topology) for _ in range(n_overlays - 1)]
+        cursor = [0] * n_overlays
+        hits = 0
+        for k in order:
+            g = overlays[k]
+            asset, state, read = changes[cursor[k]]
+            set_state(g, asset, state, float(cursor[k]))
+            cursor[k] += 1
+            if read or cursor[k] == len(changes):
+                hits += memo_key(g) in first.topology._memo
+                expected = from_scratch_performance(g)
+                assert effective_performance(g, asset) == expected[asset]
+                assert effective_performance_all(g) == expected
+        # Every overlay ends in the state the first one to finish stored.
+        assert hits >= n_overlays - 1
+        assert_memo_exact(first.topology)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_and_walks())
+    def test_mutating_a_returned_map_changes_no_other(self, case):
+        spec, changes, _, _ = case
+        a = build_graph(spec)
+        b = InfrastructureGraph(a.topology)
+        for t, (asset, state, _) in enumerate(changes):
+            for g in (a, b):
+                set_state(g, asset, state, float(t))
+            returned = effective_performance_all(a)
+            for asset_id in returned:
+                returned[asset_id] = -1.0
+            assert effective_performance_all(b) == from_scratch_performance(b)
+            assert effective_performance_all(a) == from_scratch_performance(a)
+        fresh = InfrastructureGraph(a.topology)
+        assert set(effective_performance_all(fresh).values()) <= {1.0}
+        assert_memo_exact(a.topology)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_and_walks())
+    def test_stored_entries_unchanged_after_other_overlays_miss(self, case):
+        spec, changes, n_overlays, _ = case
+        first = build_graph(spec)
+        stored = {}
+        for k in range(n_overlays):
+            g = first if k == 0 else InfrastructureGraph(first.topology)
+            # Each overlay walks the changes from a different point, so it
+            # misses on states the others have not seen.
+            for t, (asset, state, _) in enumerate(changes[k:] + changes[:k]):
+                set_state(g, asset, state, float(t))
+                effective_performance_all(g)
+                for key, (values, perf) in first.topology._memo.items():
+                    if key in stored:
+                        assert (list(values), dict(perf)) == stored[key]
+                    else:
+                        stored[key] = (list(values), dict(perf))
+        assert_memo_exact(first.topology)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_and_changes(),
+           st.lists(st.floats(0.05, 0.95), min_size=MEMO_LIMIT + 1, max_size=MEMO_LIMIT + 8,
+                    unique=True))
+    def test_table_never_exceeds_limit_and_stays_exact_when_full(self, case, factors):
+        spec, _ = case
+        g = build_graph(spec)
+        other = InfrastructureGraph(g.topology)
+        asset = spec["assets"][0]["id"]
+        # Every factor is a new state, then the walk goes back over them.
+        for t, factor in enumerate(factors + factors[::-1]):
+            for overlay in (g, other):
+                set_state(overlay, asset, AssetState("degraded", factor=factor), float(t))
+                assert effective_performance_all(overlay) == from_scratch_performance(overlay)
+            assert len(g.topology._memo) <= MEMO_LIMIT
+        assert len(g.topology._memo) == MEMO_LIMIT
+        set_state(g, asset, AssetState("operational"), float(2 * len(factors)))
+        assert effective_performance_all(g) == from_scratch_performance(g)
+        assert_memo_exact(g.topology)
+
+    def test_threads_filling_a_fresh_table_match_serial_runs(self):
+        sc = load_scenario(bundled_path("timing.yaml"))
+        assert len(sc.build_graph().topology._memo) == 1  # only the all-operational map
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                threaded = list(pool.map(lambda k: sc.run_replication(k, 5), range(12)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sc.build_graph().topology._memo) > 1
+        assert_memo_exact(sc.build_graph().topology)
+        serial = run_replications(load_scenario(bundled_path("timing.yaml")), 12, 5)
         assert threaded == serial
