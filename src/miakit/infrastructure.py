@@ -102,6 +102,15 @@ def _check_key(value, fieldname: str) -> None:
         raise ValidationError(fieldname, f"must be a scalar, got {value!r}")
 
 
+def _exploit_name(value, fieldname: str) -> str:
+    """An exploit a vulnerability or an attacker's capabilities name: a
+    scalar by the rule of :func:`_check_key`, and never null."""
+    if value is None:
+        raise ValidationError(fieldname, "must be a scalar, got None")
+    _check_key(value, fieldname)
+    return str(value)
+
+
 @dataclass(frozen=True)
 class Vulnerability:
     asset_id: str
@@ -165,6 +174,12 @@ class Topology:
     A map is a pure function of the own factors, so an entry does not
     depend on which overlay stored it or when.  Stored objects are never
     mutated: overlays share them and copy before they re-evaluate.
+
+    ``_hops`` is filled on first use too: per capability set, each host's
+    neighbours (see :meth:`InfrastructureGraph.neighbors`) that those
+    capabilities can exploit, in id order.  An entry is a pure function of
+    the topology, the host and the capabilities, so threads that fill one
+    at once store equal tuples.
     """
 
     def __init__(
@@ -240,12 +255,14 @@ class Topology:
         # NaN equals nothing, so every component gets written.
         values = [math.nan] * len(self.components)
         perf: dict[str, float] = {}
-        operational = dict.fromkeys(self.assets, OPERATIONAL)
-        _reevaluate(self, list(range(len(values))), operational, values, perf)
+        # Every overlay starts from a copy of these states.
+        self._operational = dict.fromkeys(self.assets, OPERATIONAL)
+        _reevaluate(self, list(range(len(values))), self._operational, values, perf)
         self._memo: dict[frozenset, tuple[list[float], dict[str, float]]] = {
             frozenset(): (values, perf)
         }
         self._memo_lock = threading.Lock()  # holds the size check and store together
+        self._hops: dict[frozenset, dict[str, tuple[str, ...]]] = {}
 
 
 class InfrastructureGraph:
@@ -266,7 +283,7 @@ class InfrastructureGraph:
         self.vulnerabilities = topology.vulnerabilities
         self._out = topology._out
         self._in = topology._in
-        self.states: dict[str, AssetState] = dict.fromkeys(topology.assets, OPERATIONAL)
+        self.states: dict[str, AssetState] = topology._operational.copy()
         self.history: list[StateChange] = []
         self.annotations: list[dict] = []
         self._listeners: list[Callable[[StateChange], None]] = []
@@ -305,6 +322,19 @@ class InfrastructureGraph:
             near |= self.topology._subnet_members[asset.subnet]
         near.discard(asset_id)
         return near
+
+    def exploitable_neighbors(self, asset_id: str, capabilities: frozenset) -> tuple[str, ...]:
+        """The neighbours of ``asset_id`` that an exploit in ``capabilities``
+        works on, in id order; worked out once per topology."""
+        table = self.topology._hops.get(capabilities)
+        if table is None:
+            table = self.topology._hops.setdefault(capabilities, {})
+        hops = table.get(asset_id)
+        if hops is None:
+            near = self.neighbors(asset_id)
+            hops = tuple(sorted(a for a in near if not self.exploits_on(a).isdisjoint(capabilities)))
+            table[asset_id] = hops
+        return hops
 
     # -- state --------------------------------------------------------------
 
@@ -367,7 +397,8 @@ def _edge(entry: dict) -> DependencyEdge:
 
 
 def _vulnerability(entry: dict) -> Vulnerability:
-    return Vulnerability(str(_require(entry, "asset")), str(_require(entry, "exploit")))
+    exploit = _exploit_name(_require(entry, "exploit"), "exploit")
+    return Vulnerability(str(_require(entry, "asset")), exploit)
 
 
 # How an entry of each graph document list is read.

@@ -190,16 +190,18 @@ class StreamFactory:
         # which commands that run no simulation never load.
         from .seeding import ItemSeeds
 
-        self._item_seeds = ItemSeeds(self._rep_seed)
+        self._seeds = ItemSeeds(self._rep_seed)
 
     def stream(self, stream_id: int) -> RngStream:
-        return RngStream(self._rep_seed, stream_id)
+        """Stream ``stream_id``: ``SeedSequence((rep_seed, stream_id))``,
+        whichever way its seed is computed."""
+        return RngStream(self._rep_seed, stream_id, self._seeds.get(stream_id))
 
     def item_stream(self, item_id: int) -> RngStream:
         """Item ``item_id``'s stream: ``SeedSequence((rep_seed, 1_000_000 +
         item_id))``, whichever way its seed is computed."""
         stream_id = self._ITEM_BASE + item_id
-        return RngStream(self._rep_seed, stream_id, self._item_seeds.get(stream_id))
+        return RngStream(self._rep_seed, stream_id, self._seeds.get(stream_id))
 
 
 # ---------------------------------------------------------------------------

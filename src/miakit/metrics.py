@@ -31,7 +31,7 @@ class BaselineZero(MiakitError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MissionMetrics:
     plans_completed: int
     plans_corrupted_undetected: int
@@ -73,11 +73,12 @@ def collect(mission_result, attack_timeline=None) -> MissionMetrics:
             attack_s = 0.0
         exposure_s = _confidentiality_exposure(attack_timeline)
 
-    n_done = len(completed) + len(corrupted)
     return MissionMetrics(
         plans_completed=len(completed),
         plans_corrupted_undetected=len(corrupted),
-        corrupted_fraction=len(corrupted) / max(1, n_done),
+        # The literal when nothing was corrupted: callers that keep many rows
+        # then share one 0.0 instead of holding a new float per row.
+        corrupted_fraction=len(corrupted) / len(finished) if corrupted else 0.0,
         mean_completion_delay_s=mean_completion,
         blocked_s=sum(mission_result.blocked_time.values()),
         attack_duration_s=attack_s,

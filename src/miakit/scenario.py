@@ -11,6 +11,7 @@ one kernel for a single seeded run.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any
@@ -21,7 +22,9 @@ from . import metrics as metrics_mod
 from .fields import (
     ValidationError, _list, _mapping, _read_float, _read_int, _require, read_text, within
 )
-from .infrastructure import InfrastructureGraph, Topology, build_topology, graph_lists
+from .infrastructure import (
+    InfrastructureGraph, Topology, _exploit_name, build_topology, graph_lists
+)
 from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
 from .mission import (
     MissionResult,
@@ -163,7 +166,12 @@ _ATTACKER_FIELDS = {
     "target": (lambda value, _: str(value), str),
     "effect": (lambda value, _: parse_effect(value), _effect_doc),
     "start": (lambda value, _: parse_start(value), _start_doc),
-    "capabilities": (lambda value, name: frozenset(map(str, _list(value, name))), sorted),
+    "capabilities": (
+        lambda value, name: frozenset(
+            _exploit_name(c, f"{name}[{i}]") for i, c in enumerate(_list(value, name))
+        ),
+        sorted,
+    ),
     "spearphish_success_prob": (_read_float, float),
     "spearphish_interval": (parse_distribution, _dist_doc),
     "scan_interval": (parse_distribution, _dist_doc),
@@ -264,9 +272,17 @@ class Scenario:
 def read_yaml(path: str) -> Any:
     """The document at ``path``; a missing file, non-UTF-8 text or malformed
     YAML is a :class:`ValidationError` naming the path, whose message fits
-    on one line."""
+    on one line.  Each distinct string in the document is one object: a
+    large graph repeats its keys, asset kinds and asset ids thousands of
+    times, and a scenario keeps its infrastructure entries while it lives."""
     try:
-        return yaml.load(read_text(path), Loader=_SafeLoader)
+        loader = _SafeLoader(read_text(path))
+        scalar = loader.construct_scalar
+        loader.construct_scalar = lambda node: sys.intern(scalar(node))
+        try:
+            return loader.get_single_data()
+        finally:
+            loader.dispose()
     except FileNotFoundError:
         raise ValidationError(path, "no such file") from None
     except yaml.YAMLError as exc:

@@ -1,11 +1,12 @@
-"""Item-stream seeds, hashed in blocks.
+"""Stream seeds, hashed in blocks.
 
-``StreamFactory.item_stream`` seeds item k's PCG64 generator from
-``SeedSequence((rep_seed, 1_000_000 + k))``.  Building that SeedSequence and
-calling its ``generate_state`` costs about 15 us, more than the rest of an
-item's set-up.  :class:`ItemSeeds` computes the same seeds for a run of
-consecutive ids with numpy's own SeedSequence arithmetic on uint32 arrays,
-and hands each one to PCG64 through :class:`PrecomputedSeed`.
+``StreamFactory`` seeds stream ``i`` of a replication with PCG64 from
+``SeedSequence((rep_seed, i))``: the named streams (arrivals, attacker,
+defender) and one stream per work item, ``i = 1_000_000 + item_id``.
+Building that SeedSequence and calling its ``generate_state`` costs about
+17 us per stream.  :class:`ItemSeeds` computes the same seeds for many ids
+at once with numpy's own SeedSequence arithmetic on uint32 arrays, and
+hands each one to PCG64 through :class:`PrecomputedSeed`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Any
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .kernel import StreamFactory
+
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
 # seed_seq_fe) for a pool of four 32-bit words, as integer constants.
 _POOL_SIZE = 4
@@ -23,6 +26,32 @@ _HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _MASK32 for k in rang
 _HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32 for k in range(9))
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
+
+# The same constants as uint32 columns, one row per pool or output word.
+_A = np.array(_HASH_A, dtype=np.uint32)[:, None]
+_B = np.array(_HASH_B, dtype=np.uint32)[:, None]
+_U16 = np.uint32(16)
+_L = np.uint32(_MIX_MULT_L)
+_R = np.uint32(_MIX_MULT_R)
+
+
+def _mix_constants(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constants that mix pool word ``src`` into each other word,
+    in SeedSequence's call order; ``src``'s own row is a zero placeholder."""
+    xor, mult = np.zeros((2, _POOL_SIZE, 1), dtype=np.uint32)
+    k = _POOL_SIZE + 3 * src
+    for dst in range(_POOL_SIZE):
+        if dst != src:
+            xor[dst], mult[dst] = _HASH_A[k], _HASH_A[k + 1]
+            k += 1
+    return xor, mult
+
+
+_MIX = [_mix_constants(src) for src in range(_POOL_SIZE)]
+
+# The streams every replication asks for first, and the stream id of item 1.
+NAMED = (StreamFactory.ARRIVALS, StreamFactory.ATTACKER, StreamFactory.DEFENDER)
+FIRST_ITEM = StreamFactory._ITEM_BASE + 1
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -39,36 +68,34 @@ def pcg64_seeds(entropy: list[np.ndarray]) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for many entropies.
 
     ``entropy`` holds one uint32 array per entropy word (at most four), with
-    one element per sequence; row i of the result is sequence i's seed.
-    Every step is numpy's, on uint32 arrays that wrap as its C code does.
+    one element per sequence; row i of the result is sequence i's seed, and
+    every row is C-contiguous (PCG64 reads a seed's memory directly).  Each
+    step is numpy's, on uint32 arrays that wrap as its C code does; the four
+    pool words and the eight output words each go through one array.
     """
-    u32 = np.uint32
-    a = iter(_HASH_A)
-    const = u32(next(a))
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = u32(next(a))
-        value = value * const
-        return value ^ (value >> u32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return result ^ (result >> u32(16))
-
-    zeros = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    words = []
-    for i in range(8):
-        value = (pool[i % _POOL_SIZE] ^ u32(_HASH_B[i])) * u32(_HASH_B[i + 1])
-        words.append((value ^ (value >> u32(16))).astype(np.uint64))
-    pairs = [words[i] | (words[i + 1] << np.uint64(32)) for i in range(0, 8, 2)]
-    return np.stack(pairs, axis=1)
+    pool = np.zeros((_POOL_SIZE, len(entropy[0])), dtype=np.uint32)
+    pool[: len(entropy)] = entropy
+    pool ^= _A[:_POOL_SIZE]
+    pool *= _A[1 : _POOL_SIZE + 1]
+    pool ^= pool >> _U16
+    for src, (xor, mult) in enumerate(_MIX):
+        # Every word is mixed with a hash of word src; src's own row is then
+        # put back, as SeedSequence never mixes a word into itself.
+        kept = pool[src].copy()
+        hashed = pool[src] ^ xor
+        hashed *= mult
+        hashed ^= hashed >> _U16
+        pool *= _L
+        hashed *= _R
+        pool -= hashed
+        pool ^= pool >> _U16
+        pool[src] = kept
+    words = np.concatenate((pool, pool)) ^ _B[:8]
+    words *= _B[1:]
+    words ^= words >> _U16
+    words = words.astype(np.uint64)
+    pairs = words[0::2] | (words[1::2] << np.uint64(32))
+    return np.ascontiguousarray(pairs.T)
 
 
 class PrecomputedSeed(ISeedSequence):
@@ -85,35 +112,42 @@ class PrecomputedSeed(ISeedSequence):
 
 
 class ItemSeeds:
-    """Seeds of one replication's item streams, hashed in blocks.
+    """Seeds of one replication's streams, hashed in blocks.
 
-    Items ask for their streams in id order.  The first ``SCALAR`` requests
-    are left to SeedSequence, so a replication with few items pays nothing
-    extra; after that the seeds of the next ids are hashed together by
-    :func:`pcg64_seeds`, in blocks that double up to ``MAX_BLOCK``.
+    It starts with one block: the :data:`NAMED` streams and the
+    ``FIRST_BLOCK`` item streams from :data:`FIRST_ITEM` on.  Items ask for
+    their streams in id order; an item id past the current block starts the
+    next one there, twice as long, up to ``MAX_BLOCK``.  Any other id (below
+    the items and not named, or one whose block would pass 2**32) gets
+    ``None`` and is seeded directly.
     """
 
-    SCALAR = 32
     FIRST_BLOCK = 64
     MAX_BLOCK = 1024
 
     def __init__(self, rep_seed: int):
         self._rep_words = _uint32_words(rep_seed)
-        self._requests = 0
-        self._start = 0
-        self._block = np.empty((0, 4), dtype=np.uint64)
+        items = np.arange(FIRST_ITEM, FIRST_ITEM + self.FIRST_BLOCK, dtype=np.uint32)
+        rows = self._hash(np.concatenate((np.array(NAMED, dtype=np.uint32), items)))
+        self._named = dict(zip(NAMED, rows))
+        self._start = FIRST_ITEM
+        self._block = rows[len(NAMED) :]
+
+    def _hash(self, ids: np.ndarray) -> np.ndarray:
+        words = [np.full(len(ids), w, dtype=np.uint32) for w in self._rep_words]
+        return pcg64_seeds(words + [ids])
 
     def get(self, stream_id: int) -> PrecomputedSeed | None:
         """``stream_id``'s precomputed seed, or None to seed it directly."""
-        self._requests += 1
         offset = stream_id - self._start
         if 0 <= offset < len(self._block):
             return PrecomputedSeed(self._block[offset])
-        size = min(2 * len(self._block) or self.FIRST_BLOCK, self.MAX_BLOCK)
-        if self._requests <= self.SCALAR or stream_id + size > _MASK32:
+        row = self._named.get(stream_id)
+        if row is not None:
+            return PrecomputedSeed(row)
+        size = min(2 * len(self._block), self.MAX_BLOCK)
+        if stream_id < FIRST_ITEM or stream_id + size > _MASK32:
             return None
-        ids = np.arange(stream_id, stream_id + size, dtype=np.uint32)
-        words = [np.full(size, w, dtype=np.uint32) for w in self._rep_words]
-        self._block = pcg64_seeds(words + [ids])
+        self._block = self._hash(np.arange(stream_id, stream_id + size, dtype=np.uint32))
         self._start = stream_id
         return PrecomputedSeed(self._block[0])

@@ -255,16 +255,13 @@ class AttackerRuntime:
 
     def _eligible_hops(self) -> list[str]:
         """Vulnerable neighbours of the foothold, sorted; recomputed only after
-        the foothold changes."""
+        the foothold changes, from each host's entry in the topology's table."""
         if self._hops is None:
-            seen: set[str] = set()
+            near: set[str] = set()
             for host in self.foothold:
-                seen |= self.graph.neighbors(host)
-            seen.difference_update(self.foothold)
-            capabilities = self.spec.capabilities
-            self._hops = sorted(
-                a for a in seen if not self.graph.exploits_on(a).isdisjoint(capabilities)
-            )
+                near.update(self.graph.exploitable_neighbors(host, self.spec.capabilities))
+            near.difference_update(self.foothold)
+            self._hops = sorted(near)
         return self._hops
 
     def _scan(self) -> None:

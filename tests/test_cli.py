@@ -66,6 +66,15 @@ LIST_FIELDS = [
 ]
 
 
+# Attacker capabilities naming an exploit that is not a scalar, as (the
+# capabilities, the one error line).
+BAD_CAPABILITIES = [
+    ([["e1"]], "attacker.capabilities[0]: must be a scalar, got ['e1']"),
+    ([None], "attacker.capabilities[0]: must be a scalar, got None"),
+    (["e1", {"x": 1}], "attacker.capabilities[1]: must be a scalar, got {'x': 1}"),
+]
+
+
 def with_section(path, value):
     """MINIMAL with the section at ``path`` set to ``value``; the defender
     section is only read when there is an attacker, so the attacker and
@@ -179,6 +188,16 @@ class TestScenarioLoading:
         doc["defender"] = None
         with pytest.raises(ValidationError):
             load_scenario(write_scenario(tmp_path, doc))
+
+    def test_documents_hold_each_string_once(self, tmp_path):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
+        doc["infrastructure"]["edges"] = [{"from": "sys", "to": "ws-1"}]
+        loaded = scenario_mod.read_yaml(write_scenario(tmp_path, doc))
+        assets = loaded["infrastructure"]["assets"]
+        first_key, second_key = (next(k for k in a if k == "kind") for a in assets)
+        assert first_key is second_key
+        edge = loaded["infrastructure"]["edges"][0]
+        assert edge["from"] is assets[1]["id"] and edge["to"] is assets[0]["id"]
 
     def test_save_load_round_trip(self, tmp_path):
         for name in ("slack.yaml", "outage_sweep.yaml", "checkpoint.yaml", "timing.yaml"):
@@ -542,6 +561,15 @@ class TestCliSimulate:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {field}: must be a list"]
 
+    @pytest.mark.parametrize("value,want", BAD_CAPABILITIES, ids=[w for _, w in BAD_CAPABILITIES])
+    def test_non_scalar_capability_is_one_error_line(self, tmp_path, capsys, value, want):
+        doc = with_section(("attacker", "capabilities"), value)
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+        assert not (tmp_path / "m.csv").exists()
+
     def test_unknown_asset_binding_is_one_error_line(self, tmp_path, capsys):
         doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
         doc["mission"]["tasks"][0]["requires"] = ["sys", "ghost"]
@@ -721,6 +749,10 @@ BAD_GRAPHS = [
     ("edges", [{"from": "sys", "to": "sys"}], "edges[0].to: asset 'sys' cannot depend on itself"),
     ("vulnerabilities", [{"asset": "zz", "exploit": "e1"}],
      "vulnerabilities[0].asset: unknown asset 'zz'"),
+    ("vulnerabilities", [{"asset": "sys", "exploit": ["e1"]}],
+     "vulnerabilities[0].exploit: must be a scalar, got ['e1']"),
+    ("vulnerabilities", [{"asset": "sys", "exploit": None}],
+     "vulnerabilities[0].exploit: must be a scalar, got None"),
 ]
 
 

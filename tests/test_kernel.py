@@ -244,6 +244,88 @@ class TestItemStreamSeeds:
         assert seed is not None  # the block path was taken
 
 
+NAMED = (StreamFactory.ARRIVALS, StreamFactory.ATTACKER, StreamFactory.DEFENDER)
+
+# Stream requests, as ("stream", id) or ("item", item id), in the orders a
+# replication may make them: named streams first, items first, and items
+# that jump past the first block and back.
+FIRST_ITEMS = [("item", k) for k in range(1, 20)]
+REQUEST_ORDERS = {
+    "named-first": [("stream", i) for i in NAMED] + FIRST_ITEMS,
+    "items-first": FIRST_ITEMS + [("stream", i) for i in NAMED],
+    "jumps": [("item", 1), ("item", 65), ("stream", 2), ("item", 2), ("item", 700),
+              ("stream", 99), ("item", 64), ("item", 66), ("stream", 1), ("item", 3000)],
+}
+REQUESTS = st.one_of(
+    st.tuples(st.just("stream"), st.sampled_from(NAMED + (0, 4, 99, 999_999))),
+    st.tuples(st.just("item"), st.integers(1, 3_000)),
+)
+
+
+def _request(factory, kind, number):
+    """The stream a request asks for, and the id it must be seeded with."""
+    if kind == "stream":
+        return factory.stream(number), number
+    return factory.item_stream(number), 1_000_000 + number
+
+
+class TestStreamSeedBlocks:
+    """Every stream of a replication, named or per item, in any request
+    order, starts from the PCG64 state of ``SeedSequence((rep_seed, id))``."""
+
+    @pytest.mark.parametrize("order", sorted(REQUEST_ORDERS))
+    @settings(max_examples=15, deadline=None)
+    @given(base_seed=st.integers(0, 2**63 - 1), replication=st.integers(0, 10_000))
+    def test_request_orders_match_seed_sequence(self, order, base_seed, replication):
+        factory = StreamFactory(base_seed, replication)
+        for kind, number in REQUEST_ORDERS[order]:
+            stream, stream_id = _request(factory, kind, number)
+            assert stream.stream_id == stream_id
+            assert stream._gen.bit_generator.state == _reference_state(factory._rep_seed, stream_id)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base_seed=st.integers(0, 2**63 - 1),
+        replication=st.integers(0, 10_000),
+        requests=st.lists(REQUESTS, min_size=1, max_size=25),
+    )
+    def test_any_request_order_matches_seed_sequence(self, base_seed, replication, requests):
+        factory = StreamFactory(base_seed, replication)
+        for kind, number in requests:
+            stream, stream_id = _request(factory, kind, number)
+            assert stream._gen.bit_generator.state == _reference_state(factory._rep_seed, stream_id)
+
+    def test_one_block_holds_the_named_streams_and_first_items(self, monkeypatch):
+        blocks = []
+        real = seeding.pcg64_seeds
+        monkeypatch.setattr(seeding, "pcg64_seeds", lambda e: blocks.append(len(e[0])) or real(e))
+        seeds = seeding.ItemSeeds(2**40 + 17)
+        first_items = range(seeding.FIRST_ITEM, seeding.FIRST_ITEM + seeds.FIRST_BLOCK)
+        for stream_id in (*NAMED, *first_items):
+            assert seeds.get(stream_id) is not None
+        assert blocks == [len(NAMED) + seeds.FIRST_BLOCK]
+        assert seeds.get(99) is None  # neither named nor an item: seeded directly
+
+    def test_later_blocks_double(self, monkeypatch):
+        blocks = []
+        real = seeding.pcg64_seeds
+        monkeypatch.setattr(seeding, "pcg64_seeds", lambda e: blocks.append(len(e[0])) or real(e))
+        seeds = seeding.ItemSeeds(5)
+        for stream_id in range(seeding.FIRST_ITEM, seeding.FIRST_ITEM + 2000):
+            assert seeds.get(stream_id) is not None
+        assert blocks == [len(NAMED) + seeds.FIRST_BLOCK, 128, 256, 512, 1024, 1024]
+
+    @pytest.mark.parametrize("rep_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_rows_are_c_contiguous(self, rep_seed):
+        words = seeding._uint32_words(rep_seed)
+        ids = np.arange(1_000_001, 1_000_068, dtype=np.uint32)
+        rows = seeding.pcg64_seeds([np.full(len(ids), w, dtype=np.uint32) for w in words] + [ids])
+        assert rows.flags.c_contiguous and all(row.flags.c_contiguous for row in rows)
+        seeds = seeding.ItemSeeds(rep_seed)
+        for stream_id in (*NAMED, 1_000_001, 1_000_064, 1_000_065, 1_000_300):
+            assert seeds.get(stream_id)._state.flags.c_contiguous
+
+
 class _StubScenario:
     """Replication result depends only on (base_seed, index)."""
 

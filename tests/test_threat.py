@@ -1,12 +1,18 @@
 import statistics
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miakit.infrastructure import build_graph
 from miakit.kernel import Distribution, RngStream, Simulator
+from miakit.scenario import scenario_from_dict
 from miakit.threat import (
     AttackDuration,
+    AttackerRuntime,
     AttackerSpec,
     AttackTimeline,
     DefenderRuntime,
@@ -304,3 +310,130 @@ class TestAttackDuration:
             evictions = [e.time for e in att.timeline.entries if e.kind == "eviction"]
             want = (evictions[0] - onset) if evictions else (10_000.0 - onset)
             assert d.seconds == pytest.approx(want)
+
+
+# ---------------------------------------------------------------------------
+# Exploitable hops remembered on the topology
+
+EXPLOITS = ("e1", "e2", "e3")
+
+
+def neighbour_scan(graph, foothold, capabilities):
+    """The hop search without the table: the neighbours of the foothold, less
+    the foothold, that an exploit in ``capabilities`` works on, sorted."""
+    seen = set()
+    for host in foothold:
+        seen |= graph.neighbors(host)
+    seen.difference_update(foothold)
+    return sorted(a for a in seen if not graph.exploits_on(a).isdisjoint(capabilities))
+
+
+@st.composite
+def hop_cases(draw):
+    """A small graph with subnets, edges either way and vulnerabilities; two
+    or three capability sets; and foothold steps: a move onto a host, or the
+    defender remediating one."""
+    n = draw(st.integers(2, 10))
+    ids = [f"a{k}" for k in range(n)]
+    subnets = draw(st.lists(st.sampled_from([None, "s1", "s2"]), min_size=n, max_size=n))
+    assets = [{"id": a, "kind": "end_user_node" if k == 0 else "device", "subnet": s}
+              for k, (a, s) in enumerate(zip(ids, subnets))]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    edges = [{"from": a, "to": b} for a, b in draw(st.lists(pairs, max_size=2 * n))]
+    vulns = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(EXPLOITS)), max_size=2 * n))
+    spec = {"assets": assets, "edges": edges,
+            "vulnerabilities": [{"asset": a, "exploit": e} for a, e in vulns]}
+    capability_sets = draw(st.lists(st.frozensets(st.sampled_from(EXPLOITS)),
+                                    min_size=2, max_size=3, unique=True))
+    steps = draw(st.lists(st.tuples(st.sampled_from(["move", "remediate"]), st.sampled_from(ids)),
+                          min_size=1, max_size=3 * n))
+    return spec, capability_sets, steps
+
+
+def lateral_scenario():
+    """A scenario whose attacker crosses many hosts: four subnets of eight,
+    chained through their first hosts, all but a few open to ``e1``, the target
+    at the far end, and a defender that finds and evicts the attacker."""
+    assets = [{"id": "eu", "kind": "end_user_node", "subnet": "s0"}]
+    edges, vulns = [], []
+    for s in range(4):
+        for i in range(8):
+            host = f"h{s}-{i}"
+            assets.append({"id": host, "kind": "device", "subnet": f"s{s}"})
+            vulns.append({"asset": host, "exploit": "e2" if i and (s + i) % 3 == 0 else "e1"})
+        if s:
+            edges.append({"from": f"h{s - 1}-0", "to": f"h{s}-0"})
+    return {
+        "infrastructure": {"assets": assets, "edges": edges, "vulnerabilities": vulns},
+        "mission": {
+            "arrivals": {"exponential": 600},
+            "personnel": {"planner": 2},
+            "tasks": [{"id": "draft", "role": "planner", "duration": {"fixed": 300},
+                       "requires": ["h3-7"]}],
+        },
+        "attacker": {"target": "h3-7", "effect": {"availability": "stop"}, "start": {"fixed": 0},
+                     "capabilities": ["e1"], "scan_interval": {"exponential": 120},
+                     "proficiency": 0.8},
+        "defender": {"detect_delay": {"fixed": 600}, "forensics_duration": {"fixed": 300},
+                     "per_host_discovery_prob": 0.5, "remediation_per_host": {"fixed": 60}},
+        "sim": {"horizon": "8h"},
+    }
+
+
+class TestHopTable:
+    @settings(max_examples=150, deadline=None)
+    @given(hop_cases())
+    def test_eligible_hops_match_the_neighbour_scan(self, case):
+        spec, capability_sets, steps = case
+        graph = build_graph(spec)
+        target = spec["assets"][-1]["id"]
+        runtimes = [
+            AttackerRuntime(AttackerSpec(target, STOP, StartPolicy.fixed(0.0), caps),
+                            graph, Simulator(), RngStream(7, 2))
+            for caps in capability_sets
+        ]
+        searched = set()
+        for t, (action, host) in enumerate(steps):
+            for rt in runtimes:
+                if action == "remediate":
+                    rt.remediate_host(host, float(t))
+                elif host not in rt.foothold:
+                    rt.foothold.append(host)  # as a phish or a hop does
+                    rt._hops = None
+                if rt.foothold:
+                    searched.add(rt.spec.capabilities)
+                assert rt._eligible_hops() == neighbour_scan(graph, rt.foothold, rt.spec.capabilities)
+        # Each capability set has its own entries, each one a host's own scan.
+        tables = graph.topology._hops
+        assert set(tables) == searched
+        for capabilities, table in tables.items():
+            for host, hops in table.items():
+                assert hops == tuple(neighbour_scan(graph, [host], capabilities))
+
+    def test_table_is_filled_on_first_use_not_at_load(self):
+        sc = scenario_from_dict(lateral_scenario())
+        assert sc.topology._hops == {}
+        sc.run_replication(0, 5)
+        table = sc.topology._hops[frozenset({"e1"})]
+        assert table and all(type(hops) is tuple for hops in table.values())
+
+    def test_threads_filling_a_fresh_table_match_serial_runs(self):
+        def run(sc, k):
+            metrics, _, timeline, _ = sc.run_detailed(k, 5)
+            return metrics, timeline.entries
+
+        sc = scenario_from_dict(lateral_scenario())
+        assert sc.topology._hops == {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                threaded = list(pool.map(lambda k: run(sc, k), range(12)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sc.topology._hops
+        fresh = scenario_from_dict(lateral_scenario())
+        serial = [run(fresh, k) for k in range(12)]
+        assert threaded == serial
+        moves = [sum(e.kind == "lateral_move" for e in entries) for _, entries in serial]
+        assert min(moves) >= 1 and sum(moves) > 24
