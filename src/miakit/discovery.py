@@ -106,22 +106,26 @@ def _check_binning(x: ChannelSeries, y: ChannelSeries) -> None:
         )
 
 
-def _pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
-    """Pearson correlation of two float windows of equal length m >= 2, or
-    None when either has zero variance.
+def _moments(w: np.ndarray) -> tuple[float, float]:
+    """The mean and sample standard deviation of a float window of length
+    m >= 2.
 
-    The means and sample standard deviations are the ufunc steps that
-    ``ndarray.mean`` and ``ndarray.std(ddof=1)`` run, so scores are
-    bit-identical to those methods'.
+    These are the ufunc steps that ``ndarray.mean`` and ``ndarray.std(ddof=1)``
+    run, so scores are bit-identical to those methods'.
     """
-    m = len(xs)
-    dx = xs - np.add.reduce(xs) / m
-    dy = ys - np.add.reduce(ys) / m
-    sx = math.sqrt(np.add.reduce(dx * dx) / (m - 1))
-    sy = math.sqrt(np.add.reduce(dy * dy) / (m - 1))
+    m = len(w)
+    mean = np.add.reduce(w) / m
+    d = w - mean
+    return mean, math.sqrt(np.add.reduce(d * d) / (m - 1))
+
+
+def _pearson(xs: np.ndarray, x_moments: tuple, ys: np.ndarray, y_moments: tuple) -> float | None:
+    """Pearson correlation of two equal-length float windows given their
+    :func:`_moments`, or None when either has zero variance."""
+    (mx, sx), (my, sy) = x_moments, y_moments
     if sx == 0.0 or sy == 0.0:
         return None
-    r = float(np.dot(dx, dy) / ((m - 1) * sx * sy))
+    r = float(np.dot(xs - mx, ys - my) / ((len(xs) - 1) * sx * sy))
     return max(-1.0, min(1.0, r))
 
 
@@ -140,14 +144,50 @@ def ncc(x: ChannelSeries, y: ChannelSeries, lag: int) -> float:
         raise InsufficientOverlap(f"overlap of {m} bins at lag {lag}")
     xs = np.asarray(x.counts[skip_x : skip_x + m], dtype=float)
     ys = np.asarray(y.counts[skip_y : skip_y + m], dtype=float)
-    score = _pearson(xs, ys)
+    score = _pearson(xs, _moments(xs), ys, _moments(ys))
     if score is None:
         raise ConstantSeries(f"zero variance over {m}-bin overlap at lag {lag}")
     return score
 
 
+class _Windows:
+    """One count series as float, with each window's :func:`_moments` kept
+    by (start, length) once computed.
+
+    Only two scalars are kept per window, so a memo holds one float copy of
+    each series plus O(windows) scalars, whatever ``max_lag`` is.
+    """
+
+    __slots__ = ("series", "counts", "floats", "moments")
+
+    def __init__(self, series: ChannelSeries):
+        # Held so that the series' id, the memo key, stays its own.
+        self.series = series
+        self.counts = series.counts
+        self.floats = np.asarray(series.counts, dtype=float)
+        self.moments: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def get(self, start: int, m: int) -> tuple[np.ndarray, tuple[float, float]]:
+        """The window's floats and their moments."""
+        w = self.floats[start : start + m]
+        moments = self.moments.get((start, m))
+        if moments is None:
+            moments = self.moments[start, m] = _moments(w)
+        return w, moments
+
+
+def _windows_of(memo: dict[int, _Windows], series: ChannelSeries) -> _Windows:
+    windows = memo.get(id(series))
+    if windows is None or windows.counts is not series.counts:
+        windows = memo[id(series)] = _Windows(series)
+    return windows
+
+
 def max_lag_ncc(
-    x: ChannelSeries, y: ChannelSeries, max_lag: int = DEFAULT_MAX_LAG
+    x: ChannelSeries,
+    y: ChannelSeries,
+    max_lag: int = DEFAULT_MAX_LAG,
+    memo: dict | None = None,
 ) -> tuple[int, float]:
     """(lag, score) maximizing :func:`ncc` over lags 0..max_lag; smallest lag
     wins ties.
@@ -156,16 +196,26 @@ def max_lag_ncc(
     windows cannot steal a tie from the earlier lag.  Lags past
     ``len(y.counts) - 2`` overlap in fewer than two bins and are not tried,
     so the cost does not grow with ``max_lag``.
+
+    ``memo``, a dict the caller starts empty, keeps each series' float copy
+    and window means and deviations across calls, keyed by the series
+    object, so scoring one series against several others computes its
+    window statistics once.  A series whose ``counts`` is set to another
+    array gets fresh statistics; the elements of a series' counts must not
+    change while the memo is in use.  Without it, the call starts a memo of
+    its own.
     """
     _check_binning(x, y)
-    xf = np.asarray(x.counts, dtype=float)
-    yf = np.asarray(y.counts, dtype=float)
+    if memo is None:
+        memo = {}
+    wx, wy = _windows_of(memo, x), _windows_of(memo, y)
+    nx, ny = len(wx.floats), len(wy.floats)
     best: tuple[int, float] | None = None
-    for lag in range(min(max_lag, len(yf) - 2) + 1):
-        m = min(len(xf), len(yf) - lag)
+    for lag in range(min(max_lag, ny - 2) + 1):
+        m = min(nx, ny - lag)
         if m < 2:
             continue
-        score = _pearson(xf[:m], yf[lag : lag + m])
+        score = _pearson(*wx.get(0, m), *wy.get(lag, m))
         if score is not None and (best is None or score > best[1] + 1e-12):
             best = (lag, score)
     if best is None:
@@ -194,35 +244,44 @@ def infer_indirect(
     B is the service host of the upstream channel and the client of the
     downstream one.  Pairs where either channel is constant are skipped;
     a dependency is emitted when the best lagged score reaches ``threshold``.
+    Pairs are scored pivot by pivot, with one :func:`max_lag_ncc` memo per
+    pivot, so a ``series_for`` that returns the same series object for a
+    channel on every call has each window's statistics computed once.  For
+    the same reason ``series_for`` must not change, during the call, the
+    elements of the counts of a series it has already returned (setting
+    ``counts`` to a new array is seen and is safe).
     """
     check_indirect_options(threshold, max_lag, min_activity)
-    active = [d for d in direct if d.flow_count >= min_activity]
-    by_client: dict[str, list[DirectDependency]] = defaultdict(list)
-    for d in active:
-        by_client[d.client].append(d)
+    by_pivot: dict[str, list[Channel]] = defaultdict(list)
+    by_client: dict[str, list[Channel]] = defaultdict(list)
+    for d in direct:
+        if d.flow_count >= min_activity:
+            by_pivot[d.service.host].append(d.channel())
+            by_client[d.client].append(d.channel())
 
     found: list[IndirectDependency] = []
-    for up in active:
-        pivot = up.service.host
-        for down in by_client.get(pivot, []):
-            if down.channel() == up.channel():
-                continue
-            try:
-                xs = series_for(up.channel())
-                ys = series_for(down.channel())
-                lag, score = max_lag_ncc(xs, ys, max_lag)
-            except (ConstantSeries, InsufficientOverlap, NoValidLag):
-                continue
-            if score >= threshold:
-                found.append(
-                    IndirectDependency(
-                        upstream=up.channel(),
-                        downstream=down.channel(),
-                        lag_s=lag * xs.bin_width,
-                        lag_bins=lag,
-                        score=score,
+    for pivot, ups in by_pivot.items():
+        memo: dict[int, _Windows] = {}
+        for up in ups:
+            for down in by_client.get(pivot, ()):
+                if down == up:
+                    continue
+                try:
+                    xs = series_for(up)
+                    ys = series_for(down)
+                    lag, score = max_lag_ncc(xs, ys, max_lag, memo)
+                except (ConstantSeries, InsufficientOverlap, NoValidLag):
+                    continue
+                if score >= threshold:
+                    found.append(
+                        IndirectDependency(
+                            upstream=up,
+                            downstream=down,
+                            lag_s=lag * xs.bin_width,
+                            lag_bins=lag,
+                            score=score,
+                        )
                     )
-                )
     found.sort(key=lambda i: (i.upstream.service.host, i.upstream.label(), i.downstream.label()))
     return found
 
@@ -334,8 +393,10 @@ def export_graph(
 ) -> InfrastructureGraph:
     """Turn inference output into an infrastructure graph fragment.
 
-    Hosts become devices, services become service assets tied to their host,
-    and every discovered relationship becomes a dependency edge.  Retry
+    Client hosts become devices and services become service assets named by
+    their label.  No edge ties a service to its host.  Each direct
+    dependency becomes a client-to-service edge, and each indirect one an
+    edge from the upstream service to the downstream service.  Retry
     chains are attached as annotations for operator review: a habitual
     primary-then-fallback pattern usually means a misconfiguration.
     """

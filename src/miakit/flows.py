@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +33,10 @@ class EmptyWindow(MiakitError):
     pass
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
+    """One flow observation.  A named tuple: immutable, hashed and compared
+    by value (also against a plain tuple of the same fields)."""
+
     ts_us: int
     src_host: str
     src_port: int
@@ -94,13 +95,14 @@ class FlowLog(list):
     The first call that needs the capture's channel index (:func:`bin_activity`,
     :func:`~miakit.discovery.direct_dependencies`,
     :func:`~miakit.discovery.detect_retry_chains`) keeps it on the log with a
-    snapshot of the records it read.  Later calls reuse it only while the log
-    holds exactly those record objects in the same order, compared by
-    identity (``is``), never by value.  After an append, assignment, deletion
-    or reordering, the next call builds the index again.
+    copy of the records it read.  Later calls reuse it while the log still
+    equals that copy: the same records, compared by value, in the same order.
+    Equal records build the same index, so the reuse is exact.  After an edit
+    that changes the records, through a list method or not (``heapq``,
+    ``list.append(log, r)``), the next call builds the index again.
     """
 
-    # (tuple of the records indexed, their index)
+    # (list of the records indexed, their index)
     _indexed: tuple | None = None
 
 
@@ -185,17 +187,19 @@ def service_side(record: FlowRecord) -> tuple[str, ServiceKey, bool]:
     wins ties.  A flow whose ports are both above the registered range is
     flagged ambiguous.
     """
-    client, host, port, ambiguous = _service_endpoint(record)
+    client, host, port = _service_endpoint(record)
+    ambiguous = min(record.src_port, record.dst_port) > REGISTERED_PORT_LIMIT
     return client, ServiceKey(host, port, record.proto), ambiguous
 
 
-def _service_endpoint(record: FlowRecord) -> tuple[str, str, int, bool]:
+def _service_endpoint(record: FlowRecord) -> tuple[str, str, int]:
     """:func:`service_side` as plain values: (client_host, service_host,
-    service_port, ambiguous)."""
-    ambiguous = min(record.src_port, record.dst_port) > REGISTERED_PORT_LIMIT
-    if record.dst_port <= record.src_port:
-        return record.src_host, record.dst_host, record.dst_port, ambiguous
-    return record.dst_host, record.src_host, record.src_port, ambiguous
+    service_port)."""
+    # Unpacking reads a named tuple's fields faster than attribute access.
+    _, src_host, src_port, dst_host, dst_port, _, _, _ = record
+    if dst_port <= src_port:
+        return src_host, dst_host, dst_port
+    return dst_host, src_host, src_port
 
 
 def identify_services(records: Iterable[FlowRecord]) -> set[ServiceKey]:
@@ -224,7 +228,7 @@ class ChannelIndex:
         row: list[int] = []
         ts: list[int] = []
         for r in records:
-            client, host, port, _ = _service_endpoint(r)
+            client, host, port = _service_endpoint(r)
             row.append(rows.setdefault((client, host, port, r.proto), len(rows)))
             ts.append(r.ts_us)
         self.channels = [
@@ -241,16 +245,15 @@ class ChannelIndex:
 
 def channel_index(records: Iterable[FlowRecord]) -> ChannelIndex:
     """The :class:`ChannelIndex` of ``records``: kept on a :class:`FlowLog`
-    while it holds the same record objects, built for this call otherwise."""
+    while it holds equal records in the same order, built for this call
+    otherwise."""
     if not isinstance(records, FlowLog):
         return ChannelIndex(records)
     kept = records._indexed
-    if not (
-        kept is not None
-        and len(records) == len(kept[0])
-        and all(map(operator.is_, records, kept[0]))
-    ):
-        snapshot = tuple(records)
+    # list.__eq__ runs in C and passes over identical records without
+    # comparing their fields.
+    if kept is None or not list.__eq__(records, kept[0]):
+        snapshot = list(records)
         kept = records._indexed = (snapshot, ChannelIndex(snapshot))
     return kept[1]
 

@@ -129,29 +129,24 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int, seed_seq: Any = None):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self.draws = 0
         if seed_seq is None:
             seed_seq = np.random.SeedSequence((self.seed, self.stream_id))
         self._gen = np.random.Generator(np.random.PCG64(seed_seq))
 
     def random(self) -> float:
-        self.draws += 1
         return float(self._gen.random())
 
     def uniform(self, low: float, high: float) -> float:
         # NumPy's own formula (``random_uniform``) on one raw double, without
         # the argument checks and array dispatch of ``Generator.uniform``.
-        self.draws += 1
         return low + (high - low) * self._gen.random()
 
     def exponential(self, mean: float) -> float:
-        self.draws += 1
         return float(self._gen.exponential(mean))
 
     def triangular(self, low: float, mode: float, high: float) -> float:
         # NumPy's ``random_triangular``, operation for operation; needs
         # low < high, which Distribution checks.
-        self.draws += 1
         u = self._gen.random()
         base = high - low
         left = mode - low
@@ -161,7 +156,6 @@ class RngStream:
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        self.draws += 1
         return int(self._gen.integers(n))
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -266,6 +267,29 @@ class TestLagScan:
         assert time.perf_counter() - start < 1.0
         assert got == max_lag_ncc(x, y, len(y.counts) - 2)
 
+    def test_memory_does_not_grow_with_the_lag_range(self):
+        # 2000 bins at every lag: keeping a float array per window would
+        # hold n**2 / 2 floats per series, about 32 MB for the pair.
+        rng = np.random.default_rng(6)
+        x = int_series(rng.poisson(3.0, 2000))
+        y = int_series(rng.poisson(3.0, 2000))
+        tracemalloc.start()
+        try:
+            max_lag_ncc(x, y, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_memo_sees_counts_set_to_a_new_array(self):
+        rng = np.random.default_rng(7)
+        x = int_series(rng.poisson(3.0, 100))
+        y = int_series(rng.poisson(3.0, 100))
+        memo = {}
+        max_lag_ncc(x, y, 10, memo)
+        y.counts = rng.poisson(3.0, 100)
+        assert max_lag_ncc(x, y, 10, memo) == max_lag_ncc(x, y, 10)
+
     def test_mismatched_binning_checked_once_up_front(self):
         with pytest.raises(MismatchedBinning):
             max_lag_ncc(series([1, 2, 3]), series([1, 2, 3], start=10), 0)
@@ -410,6 +434,72 @@ class TestInferIndirect:
         )
         direct = direct_dependencies(records)
         assert infer_indirect(direct, self._series_provider(records), min_activity=100) == []
+
+
+# Channels among four hosts, self-loops included, so pivots share channels
+# and one channel can be both upstream and downstream of its pivot.
+pivot_channels = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"), st.sampled_from([80, 443])),
+    min_size=1, max_size=9, unique=True,
+)
+# Series of unequal lengths, with constant and all-zero stretches.
+pivot_counts = st.one_of(count_series, st.integers(min_value=0, max_value=30).map(lambda n: [0] * n))
+
+
+def pair_by_pair(direct, series_for, max_lag, min_activity):
+    """Reference: every (upstream, downstream) pair through a shared pivot,
+    scored on its own by :func:`max_lag_ncc`; None for a skipped pair."""
+    active = [d for d in direct if d.flow_count >= min_activity]
+    out = {}
+    for up in active:
+        for down in active:
+            if down.client != up.service.host or down.channel() == up.channel():
+                continue
+            try:
+                out[up.channel(), down.channel()] = max_lag_ncc(
+                    series_for(up.channel()), series_for(down.channel()), max_lag
+                )
+            except NoValidLag:
+                out[up.channel(), down.channel()] = None
+    return out
+
+
+class TestPivotMemo:
+    """``infer_indirect`` keeps window statistics per pivot; its scores must
+    be those of each pair scored alone."""
+
+    @given(
+        channels=pivot_channels,
+        data=st.data(),
+        max_lag=st.integers(min_value=0, max_value=45),
+        min_activity=st.sampled_from([0, 10]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scores_equal_per_pair_max_lag_ncc(self, channels, data, max_lag, min_activity):
+        direct, by_channel = [], {}
+        for client, host, port in channels:
+            counts = data.draw(pivot_counts)
+            d = DirectDependency(client, ServiceKey(host, port, "tcp"), data.draw(st.integers(0, 20)), 0, 0)
+            direct.append(d)
+            # Every int_series is labelled channel x: the memo must not key
+            # on a series' label.
+            by_channel[d.channel()] = int_series(counts)
+
+        def series_for(channel):
+            return by_channel[channel]
+
+        # A threshold of -1 emits every pair that scores, so a pair is
+        # missing exactly when it was skipped.
+        got = infer_indirect(direct, series_for, threshold=-1.0, max_lag=max_lag,
+                             min_activity=min_activity)
+        want = sorted(
+            ((up, down, best) for (up, down), best in
+             pair_by_pair(direct, series_for, max_lag, min_activity).items() if best),
+            key=lambda t: (t[0].service.host, t[0].label(), t[1].label()),
+        )
+        assert [(i.upstream, i.downstream, i.lag_bins, repr(i.score)) for i in got] == [
+            (up, down, lag, repr(score)) for up, down, (lag, score) in want
+        ]
 
 
 class TestRetryChains:

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from miakit.flows import (
     MalformedLine,
     ServiceKey,
     bin_activity,
+    channel_index,
     channel_of,
     identify_services,
     parse_flows,
@@ -105,6 +107,56 @@ class TestParsing:
             )
             for _ in range(10_000)
         ]
+        text = serialize_flows(records)
+        assert parse_flows(text) == records
+        assert serialize_flows(parse_flows(text)) == text
+
+
+# Hosts without the characters CSV would quote.
+csv_host = st.text(alphabet="abcxyz0123456789.-_:", min_size=1, max_size=12)
+any_record = st.builds(
+    FlowRecord,
+    ts_us=st.integers(min_value=0, max_value=2**63 - 1),
+    src_host=csv_host,
+    src_port=st.integers(min_value=0, max_value=65535),
+    dst_host=csv_host,
+    dst_port=st.integers(min_value=0, max_value=65535),
+    proto=st.sampled_from(["tcp", "udp"]),
+    bytes=st.integers(min_value=0, max_value=10**12),
+    packets=st.integers(min_value=1, max_value=10**9),
+)
+
+
+class TestFlowRecord:
+    TEXT = FLOW_HEADER + "\n5,a,51514,b,443,tcp,10,1\n7,b,22,c,60000,udp,0,3\n"
+
+    def test_fields_cannot_be_assigned(self):
+        record = parse_flows(self.TEXT)[0]
+        with pytest.raises(AttributeError):
+            record.ts_us = 6
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record.ts_us == 5
+
+    def test_two_parses_are_equal_and_hash_alike(self):
+        first, second = parse_flows(self.TEXT), parse_flows(self.TEXT)
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+        assert [hash(r) for r in first] == [hash(r) for r in second]
+        assert set(first) == set(second)
+
+    def test_a_record_is_a_named_tuple(self):
+        # What a named tuple adds over the frozen dataclass it replaced.
+        record = parse_flows(self.TEXT)[0]
+        assert record == (5, "a", 51514, "b", 443, "tcp", 10, 1)
+        assert hash(record) == hash((5, "a", 51514, "b", 443, "tcp", 10, 1))
+        ts_us, *_, packets = record
+        assert (ts_us, packets) == (5, 1)
+        assert sorted([record._replace(ts_us=9), record]) == [record, record._replace(ts_us=9)]
+
+    @given(records=st.lists(any_record, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_serialize_parse_round_trip(self, records):
         text = serialize_flows(records)
         assert parse_flows(text) == records
         assert serialize_flows(parse_flows(text)) == text
@@ -320,6 +372,29 @@ class TestChannelIndex:
             elif op == "sort":
                 log.sort(key=lambda r: (-r.ts_us, r.src_port))
             assert_matches_oracle(log, bin_width, win)
+
+    def test_equal_records_reuse_the_index(self):
+        log = FlowLog([flow(ts_us=t) for t in (0, 10, 1_500_000)])
+        index = channel_index(log)
+        copy = FlowRecord(*log[1])
+        assert copy is not log[1]
+        log[1] = copy
+        assert channel_index(log) is index
+
+    def test_a_different_record_rebuilds_the_index(self):
+        log = FlowLog([flow(ts_us=t) for t in (0, 10, 1_500_000)])
+        index = channel_index(log)
+        log[1] = log[1]._replace(dst_port=22)
+        assert channel_index(log) is not index
+        assert_matches_oracle(log, 1.0, (0, 2_000_000))
+
+    @pytest.mark.parametrize("add", [heapq.heappush, list.append])
+    def test_edits_past_the_list_methods_are_seen(self, add):
+        log = FlowLog([flow(ts_us=t) for t in (0, 10, 1_500_000)])
+        assert_matches_oracle(log, 1.0, (0, 2_000_000))
+        add(log, flow(ts_us=1_200_000, src="10.0.0.3"))
+        assert len(log) == 4
+        assert_matches_oracle(log, 1.0, (0, 2_000_000))
 
     def test_returned_counts_are_the_callers(self):
         log = FlowLog([flow(ts_us=t) for t in (0, 10, 1_500_000)])

@@ -89,9 +89,10 @@ class TestScheduling:
 class TestDistributions:
     def test_fixed_always_returns_value(self):
         stream = RngStream(0, 0)
+        state = stream._gen.bit_generator.state
         dist = Distribution.fixed(3.5)
         assert all(sample(dist, stream) == 3.5 for _ in range(10))
-        assert stream.draws == 0  # fixed consumes no randomness
+        assert stream._gen.bit_generator.state == state  # fixed consumes no randomness
 
     def test_degenerate_uniform(self):
         stream = RngStream(0, 0)
