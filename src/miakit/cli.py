@@ -49,8 +49,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
     indirect: list = []
     chains: list = []
     if records:
-        t0 = min(r.ts_us for r in records)
-        t1 = max(r.ts_us for r in records) + 1
+        # The capture's index, built for direct_dependencies above, holds
+        # every timestamp as int64; the window bounds are Python ints.
+        ts_us = flows.channel_index(records).ts_us
+        t0 = int(ts_us.min())
+        t1 = int(ts_us.max()) + 1
         cache: dict = {}
 
         def series_for(channel):

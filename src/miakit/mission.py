@@ -12,14 +12,26 @@ item to rework, otherwise the taint escapes as a corrupted completion.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .fields import ValidationError
 from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance_all
 from .kernel import Distribution, Simulator, StreamFactory, sample
+
+_COMPROMISED = "integrity_compromised"
+
+# The most checkpoint and day-end events a mission may put on the calendar,
+# which :meth:`MissionRuntime.install` schedules up front (a few hundred
+# bytes each), and the most work items one run may expect to create.  A
+# document past either is refused at validation instead of exhausting
+# memory or running for hours.
+MAX_CALENDAR_EVENTS = 1_000_000
+MAX_EXPECTED_ITEMS = 1_000_000
 
 
 class CyclicPrecedence(ValidationError):
@@ -110,6 +122,22 @@ def validate_mission(
     for cp in spec.checkpoints:
         if not (0 <= cp < spec.day_length):
             raise ValidationError("checkpoints", f"checkpoint {cp} outside [0, day_length)")
+    calendar = (spec.horizon // spec.day_length + 1) * (len(spec.checkpoints) + 1)
+    if calendar > MAX_CALENDAR_EVENTS:
+        why = (
+            f"{spec.day_length:g} s days over a {spec.horizon:g} s horizon schedule {calendar:.3g}"
+            f" checkpoint and day-end events, more than {MAX_CALENDAR_EVENTS}"
+        )
+        raise ValidationError("day_length", why)
+    window = spec.horizon if spec.arrival_cutoff is None else min(spec.arrival_cutoff, spec.horizon)
+    mean = spec.arrivals.mean()
+    expected = window / mean if mean > 0 else math.inf
+    if expected > MAX_EXPECTED_ITEMS:
+        why = (
+            f"a mean interval of {mean:g} s over {window:g} s of arrivals expects {expected:.3g}"
+            f" work items, more than {MAX_EXPECTED_ITEMS}"
+        )
+        raise ValidationError("arrivals", why)
 
     ordered: list[TaskSpec] = []
     placed: set[str] = set()
@@ -186,11 +214,19 @@ class WorkItem:
     reports.  ``task`` indexes ``task_ids`` (their count once done), and the
     per-task work figures are lists in that order; ``current_task`` and
     ``work`` are read-only views of them, computed on each read.
+
+    While the item is being worked on, it also holds its run state: when a
+    person took it up (``seized_at``), when its progress was last credited
+    (``last_update``), the task's rate at that time (``factor``), and the
+    number of its latest completion event (``generation``).  The generation
+    only grows over the item's life, so a completion event scheduled before
+    a rate change, an abandonment or an earlier task never matches again.
     """
 
     __slots__ = (
         "id", "created_at", "task_ids", "stream", "task", "tainted", "taint_sources",
         "completed_at", "outcome", "sampled", "rework", "processed", "remaining",
+        "seized_at", "last_update", "factor", "generation",
     )
 
     def __init__(self, item_id: int, created_at: float, task_ids: tuple, sampled: list, stream):
@@ -207,6 +243,10 @@ class WorkItem:
         self.rework = [0.0] * len(sampled)
         self.processed = [0.0] * len(sampled)
         self.remaining = sampled[:]
+        self.seized_at = 0.0
+        self.last_update = 0.0
+        self.factor = 0.0
+        self.generation = 0
 
     @property
     def current_task(self) -> str:
@@ -220,23 +260,21 @@ class WorkItem:
         return {tid: TaskWork(*f) for tid, f in zip(self.task_ids, figures)}
 
 
-@dataclass(slots=True)
-class _Run:
-    item: WorkItem
-    task: int
-    role: int
-    seized_at: float
-    last_update: float
-    factor: float
-    generation: int = 0
-
-
 class MissionRuntime:
     """Event-driven execution of one mission replication on a kernel.
 
     ``spec`` must come from :func:`validate_mission` against the graph's
     topology; it is used as given, not validated again.  Tasks and roles
     are read through ``spec.index``, which every replication shares.
+
+    ``runs`` maps the id of each item being worked on to the item itself,
+    which carries its run state (see :class:`WorkItem`); the person's role
+    is its task's.  ``taint_counts[task]`` is how many of the task's
+    distinct required assets are integrity-compromised: set at
+    :meth:`install` and kept on every state change, so a start walks the
+    task's assets for taint only while one of them is compromised.  The
+    ``data`` of the per-item events, which only a trace records, is built
+    only when the kernel records a trace.
     """
 
     def __init__(
@@ -256,11 +294,12 @@ class MissionRuntime:
 
         self.items: dict[int, WorkItem] = {}
         self.queues: list[deque[WorkItem]] = [deque() for _ in range(n)]
-        self.runs: dict[int, _Run] = {}
+        self.runs: dict[int, WorkItem] = {}
         self.free = list(ix.headcount)
         self.busy_seconds = [0.0] * len(ix.roles)
 
         self.factors = [0.0] * n
+        self.taint_counts = [0] * n
         self.blocked_since: list[float | None] = [None] * n
         self.blocked_total = [0.0] * n
 
@@ -279,6 +318,11 @@ class MissionRuntime:
 
     def install(self) -> "MissionRuntime":
         self.graph.subscribe(self._on_state_change)
+        states = self.graph.states
+        self.taint_counts = [
+            sum(states[a].mode == _COMPROMISED for a in dict.fromkeys(assets))
+            for assets in self.index.required
+        ]
         self._refresh_factors(initial=True)
         first = sample(self.spec.arrivals, self.arrival_stream)
         if first <= self._arrival_end:
@@ -322,27 +366,29 @@ class MissionRuntime:
     # queue, no free person of the role, or a blocked task.
 
     def _arrive(self) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        ix = self.index
         item_id = self._next_item
         self._next_item = item_id + 1
         stream = self.streams.item_stream(item_id)
-        sampled = [sample(d, stream) for d in self.index.durations]
-        item = WorkItem(item_id, now, self.index.task_ids, sampled, stream)
+        sampled = [sample(d, stream) for d in ix.durations]
+        item = WorkItem(item_id, now, ix.task_ids, sampled, stream)
         self.items[item_id] = item
         self.queues[0].append(item)
         if self.spec.deadline_per_item is not None:
-            self.sim.schedule(
+            sim.schedule(
                 "deadline",
                 now + self.spec.deadline_per_item,
                 self._deadline,
-                data=(item_id,),
+                data=(item_id,) if sim.record_trace else (),
                 args=(item,),
             )
-        if self.free[self.index.task_role[0]] > 0 and self.factors[0] > 0:
+        if self.free[ix.task_role[0]] > 0 and self.factors[0] > 0:
             self._dispatch_task(0)
         nxt = now + sample(self.spec.arrivals, self.arrival_stream)
         if nxt <= self._arrival_end:
-            self.sim.schedule("arrival", nxt, self._arrive)
+            sim.schedule("arrival", nxt, self._arrive)
 
     def _dispatch_role(self, role: int) -> None:
         free = self.free
@@ -356,111 +402,135 @@ class MissionRuntime:
 
     def _dispatch_task(self, task: int) -> None:
         """Start queued items on ``task`` while a person is free and the task
-        is not blocked; items abandoned or moved on since are dropped."""
+        is not blocked; items abandoned or moved on since are dropped.  Each
+        start schedules its item's completion, as :meth:`_schedule_completion`
+        would, after the start hooks have run."""
         queue = self.queues[task]
-        role = self.index.task_role[task]
-        required = self.index.required[task]
+        ix = self.index
+        role = ix.task_role[task]
         free = self.free
         factors = self.factors
-        now = self.sim.now
+        runs = self.runs
+        sim = self.sim
+        now = sim.now
         while queue and free[role] > 0 and factors[task] > 0:
             item = queue.popleft()
             if item.outcome != "in_progress" or item.task != task:
                 continue
             free[role] -= 1
-            run = _Run(item, task, role, now, now, factors[task])
-            self.runs[item.id] = run
-            if required:
+            item.seized_at = item.last_update = now
+            item.factor = factors[task]
+            runs[item.id] = item
+            if self.taint_counts[task]:
                 self._check_taint(item, task)
             if self._task_start_hooks:
-                task_id = self.index.task_ids[task]
+                task_id = ix.task_ids[task]
                 for hook in list(self._task_start_hooks):
                     hook(task_id, item.id, now)
-            self._schedule_completion(run)
+            # A hook may have changed the task's rate, so it is read again.
+            item.generation = generation = item.generation + 1
+            if item.factor > 0:
+                sim.schedule(
+                    "task_complete",
+                    now + item.remaining[task] / item.factor,
+                    self._complete,
+                    data=(item.id, ix.task_ids[task]) if sim.record_trace else (),
+                    args=(item, generation),
+                )
 
-    def _schedule_completion(self, run: _Run) -> None:
-        run.generation += 1
-        if run.factor <= 0:
+    def _schedule_completion(self, item: WorkItem) -> None:
+        item.generation += 1
+        if item.factor <= 0:
             return
-        item = run.item
-        eta = self.sim.now + item.remaining[run.task] / run.factor
-        self.sim.schedule(
+        sim = self.sim
+        task = item.task
+        sim.schedule(
             "task_complete",
-            eta,
+            sim.now + item.remaining[task] / item.factor,
             self._complete,
-            data=(item.id, self.index.task_ids[run.task]),
-            args=(run, run.generation),
+            data=(item.id, self.index.task_ids[task]) if sim.record_trace else (),
+            args=(item, item.generation),
         )
 
-    def _settle(self, run: _Run) -> None:
+    def _settle(self, item: WorkItem) -> None:
         """Credit work processed since the last update at the active rate."""
         now = self.sim.now
-        if run.factor > 0 and now > run.last_update:
-            done = (now - run.last_update) * run.factor
-            item = run.item
-            task = run.task
+        if item.factor > 0 and now > item.last_update:
+            done = (now - item.last_update) * item.factor
+            task = item.task
             done = min(done, item.remaining[task])
             item.processed[task] += done
             item.remaining[task] -= done
-        run.last_update = now
+        item.last_update = now
 
     def _check_taint(self, item: WorkItem, task: int) -> None:
         states = self.graph.states
         for asset in self.index.required[task]:
-            if states[asset].mode == "integrity_compromised":
+            if states[asset].mode == _COMPROMISED:
                 item.tainted = True
                 item.taint_sources.add(asset)
 
-    def _complete(self, run: _Run, generation: int) -> None:
-        item = run.item
-        if run.generation != generation or self.runs.get(item.id) is not run:
+    def _complete(self, item: WorkItem, generation: int) -> None:
+        if item.generation != generation:
             return
-        task = run.task
+        task = item.task
         remaining = item.remaining
         item.processed[task] += remaining[task]
         remaining[task] = 0.0
-        now = run.last_update = self.sim.now
+        now = item.last_update = self.sim.now
+        ix = self.index
 
         if item.tainted and self.awareness:
             # Aware personnel re-validate on the spot instead of handing
             # corrupted output downstream.
-            drawn = sample(self.index.reworks[task], item.stream)
+            drawn = sample(ix.reworks[task], item.stream)
             if drawn > 0:
                 item.tainted = False
                 item.rework[task] += drawn
                 remaining[task] += drawn
-                if self.index.required[task]:
+                if self.taint_counts[task]:
                     self._check_taint(item, task)
-                self._schedule_completion(run)
+                self._schedule_completion(item)
                 return
 
-        self._release(run)
+        # Release the person (as _release does), move the item on, then
+        # offer the person the role's queues (as _dispatch_role does).
+        role = ix.task_role[task]
+        free = self.free
+        self.busy_seconds[role] += now - item.seized_at
+        free[role] += 1
+        del self.runs[item.id]
+        queues = self.queues
+        factors = self.factors
         nxt = item.task = task + 1
         if nxt < len(remaining):
-            self.queues[nxt].append(item)
-            if self.free[self.index.task_role[nxt]] > 0 and self.factors[nxt] > 0:
+            queues[nxt].append(item)
+            if free[ix.task_role[nxt]] > 0 and factors[nxt] > 0:
                 self._dispatch_task(nxt)
         else:
             item.completed_at = now
             self.completed_today.append(item)
-        if self.free[run.role] > 0:
-            self._dispatch_role(run.role)
+        for other in ix.role_tasks[role]:
+            if free[role] == 0:
+                return
+            if queues[other] and factors[other] > 0:
+                self._dispatch_task(other)
 
-    def _release(self, run: _Run) -> None:
-        self.busy_seconds[run.role] += self.sim.now - run.seized_at
-        self.free[run.role] += 1
-        del self.runs[run.item.id]
+    def _release(self, item: WorkItem) -> None:
+        role = self.index.task_role[item.task]
+        self.busy_seconds[role] += self.sim.now - item.seized_at
+        self.free[role] += 1
+        del self.runs[item.id]
 
     def _deadline(self, item: WorkItem) -> None:
         if item.completed_at is not None or item.outcome != "in_progress":
             return
         item.outcome = "abandoned"
-        run = self.runs.get(item.id)
-        if run is not None:
-            self._settle(run)
-            run.generation += 1
-            self._release(run)
-            self._dispatch_role(run.role)
+        if item.id in self.runs:
+            self._settle(item)
+            item.generation += 1
+            self._release(item)
+            self._dispatch_role(self.index.task_role[item.task])
 
     # -- rework and checkpoints ------------------------------------------------
 
@@ -482,10 +552,9 @@ class MissionRuntime:
         drawn = sample(self.index.reworks[task], item.stream)
         item.rework[task] += drawn
         item.remaining[task] += drawn
-        run = self.runs.get(item.id)
-        if run is not None:
-            self._settle(run)
-            self._schedule_completion(run)
+        if item.id in self.runs:
+            self._settle(item)
+            self._schedule_completion(item)
 
     def _checkpoint(self, at: float) -> None:
         today = set(self.completed_today)
@@ -506,11 +575,10 @@ class MissionRuntime:
 
     # -- infrastructure coupling ------------------------------------------------
 
-    def _active_runs(self, task: int) -> list[_Run]:
-        """The task's runs in progress, by item id."""
-        return sorted(
-            (run for run in self.runs.values() if run.task == task), key=lambda run: run.item.id
-        )
+    def _active_runs(self, task: int) -> list[WorkItem]:
+        """The items being worked on at ``task``, by item id."""
+        running = (item for item in self.runs.values() if item.task == task)
+        return sorted(running, key=attrgetter("id"))
 
     def _refresh_factors(self, initial: bool = False) -> None:
         perf = effective_performance_all(self.graph)
@@ -530,20 +598,27 @@ class MissionRuntime:
                 self.blocked_since[task] = None
             elif old_f > 0 and new_f == 0:
                 self.blocked_since[task] = now
-            for run in self._active_runs(task):
-                self._settle(run)
-                run.factor = new_f
-                self._schedule_completion(run)
+            for item in self._active_runs(task):
+                self._settle(item)
+                item.factor = new_f
+                self._schedule_completion(item)
             if new_f > 0 and old_f == 0:
                 self._dispatch_task(task)
 
     def _on_state_change(self, change: StateChange) -> None:
+        # The counts go first: a task unblocked below starts items at once.
+        compromised = change.new.mode == _COMPROMISED
+        tasks = self.index.tasks_needing.get(change.asset_id, ())
+        if compromised != (change.old.mode == _COMPROMISED):
+            step = 1 if compromised else -1
+            for task in tasks:
+                self.taint_counts[task] += step
         self._refresh_factors()
-        if change.new.mode == "integrity_compromised":
-            for task in self.index.tasks_needing.get(change.asset_id, ()):
-                for run in self._active_runs(task):
-                    run.item.tainted = True
-                    run.item.taint_sources.add(change.asset_id)
+        if compromised:
+            for task in tasks:
+                for item in self._active_runs(task):
+                    item.tainted = True
+                    item.taint_sources.add(change.asset_id)
 
     # -- results -----------------------------------------------------------------
 
@@ -554,9 +629,9 @@ class MissionRuntime:
         ix = self.index
         horizon = self.spec.horizon
         self._finalize_day()
-        for run in self.runs.values():
-            self._settle(run)
-            self.busy_seconds[run.role] += horizon - run.seized_at
+        for item in self.runs.values():
+            self._settle(item)
+            self.busy_seconds[ix.task_role[item.task]] += horizon - item.seized_at
         for task, since in enumerate(self.blocked_since):
             if since is not None:
                 self.blocked_total[task] += horizon - since

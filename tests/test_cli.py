@@ -858,6 +858,27 @@ class TestMissionErrors:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
 
+    # Documents whose run would exhaust memory or not end, refused at load
+    # before anything is scheduled, as (how to break checkpoint.yaml, the
+    # field and the start of the reason).
+    OVERSIZED = [
+        (lambda d: d["mission"].update(day_length=0.01, checkpoints=[]),
+         "mission.day_length", "0.01 s days over a 86400 s horizon schedule 8.64e+06"),
+        (lambda d: d["sim"].update(horizon=1e13),
+         "mission.day_length", "86400 s days over a 1e+13 s horizon schedule 3.47e+08"),
+        (lambda d: d["mission"].update(arrivals={"exponential": 1e-9}),
+         "mission.arrivals", "a mean interval of 1e-09 s over 86400 s of arrivals expects 8.64e+13"),
+    ]
+
+    @pytest.mark.parametrize("breaks,field,reason", OVERSIZED, ids=[f for _, f, _ in OVERSIZED])
+    def test_oversized_run_refused_at_load(self, breaks, field, reason):
+        doc = scenario_mod.read_yaml(bundled_path("checkpoint.yaml"))
+        breaks(doc)
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == field
+        assert err.value.reason.startswith(reason)
+
     def test_every_mission_error_is_a_mission_error_and_a_value_error(self):
         for cls in (mission_mod.CyclicPrecedence, mission_mod.UnknownRole,
                     mission_mod.UnknownAssetBinding):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from miakit import kernel as kernel_mod
 from miakit import mission as mission_mod
@@ -433,3 +435,90 @@ class TestItemsAreTheResult:
                 for k, tid in enumerate(ids)
             }
             assert list(item.work) == list(ids)
+
+
+# Assets the taint-count test sets, and the states it sets them to: a
+# degraded or unavailable asset changes the task's rate, and an unavailable
+# one blocks it, so its queue starts as soon as the asset comes back.
+TAINT_ASSETS = ("a", "b", "c")
+TAINT_STATES = (
+    AssetState("operational"),
+    AssetState("integrity_compromised"),
+    AssetState("degraded", 0.5),
+    AssetState("unavailable"),
+)
+COMPROMISE = ("set", "a", 1)
+RECOVER = ("set", "a", 0)
+_set_op = st.tuples(
+    st.just("set"), st.sampled_from(TAINT_ASSETS), st.integers(0, len(TAINT_STATES) - 1)
+)
+_start_op = st.tuples(st.just("start"), st.integers(0, 3))
+
+
+class TestTaintCounts:
+    """A start walks its task's assets for taint only while the task's count
+    of integrity-compromised required assets is non-zero.  The counts must
+    follow every state change, including one made before ``install``, so
+    that each start is tainted exactly as a full walk of its assets says."""
+
+    # Task t2 names ``b`` twice; t3 needs nothing.
+    REQUIRES = (("a",), ("a", "b"), ("b", "c", "b"), ())
+
+    def _runtime(self, before):
+        graph = plain_graph(*TAINT_ASSETS)
+        for asset, state in before:
+            set_state(graph, asset, TAINT_STATES[state], 0.0)
+        tasks = [task(f"t{k}", 10, requires=req) for k, req in enumerate(self.REQUIRES)]
+        s = validate_mission(spec(tasks, 1000.0, personnel={"planner": 100}), graph)
+        runtime = MissionRuntime(s, graph, Simulator(), StreamFactory(0)).install()
+        return runtime, graph
+
+    @staticmethod
+    def _compromised(graph, assets):
+        return {a for a in assets if graph.states[a].mode == "integrity_compromised"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        before=st.lists(st.tuples(st.sampled_from(TAINT_ASSETS), st.integers(0, 3)), max_size=3),
+        ops=st.lists(st.one_of(_set_op, _start_op), max_size=25),
+    )
+    @example(before=[], ops=[COMPROMISE, COMPROMISE, ("start", 0), RECOVER, ("start", 1)])
+    @example(before=[("a", 1)], ops=[("start", 1), RECOVER, ("start", 0), COMPROMISE])
+    @example(
+        before=[("b", 3)],
+        ops=[("set", "b", 1), ("start", 2), ("set", "b", 3), ("start", 2), ("set", "b", 1)],
+    )
+    def test_starts_are_tainted_as_a_full_walk_says(self, before, ops):
+        runtime, graph = self._runtime(before)
+        required = runtime.index.required
+        started = []
+
+        def check_start(task_id, item_id, at):
+            k = runtime.index.task_ids.index(task_id)
+            item = runtime.items[item_id]
+            walk = self._compromised(graph, required[k])
+            assert item.tainted == bool(walk)
+            assert item.taint_sources == walk
+            started.append(item_id)
+
+        runtime.on_task_start(check_start)
+        for op in ops:
+            if op[0] == "set":
+                set_state(graph, op[1], TAINT_STATES[op[2]], 0.0)
+            else:
+                k = op[1]
+                item_id = len(runtime.items) + 1
+                item = WorkItem(item_id, 0.0, runtime.index.task_ids, [10.0] * 4, None)
+                item.task = k
+                runtime.items[item_id] = item
+                runtime.queues[k].append(item)
+                if runtime.factors[k] > 0:
+                    runtime._dispatch_task(k)
+                    assert started[-1] == item_id
+            assert runtime.taint_counts == [
+                len(self._compromised(graph, assets)) for assets in required
+            ]
+        # Every item queued on a task that is not blocked has started.
+        waiting = sum(len(q) for k, q in enumerate(runtime.queues) if runtime.factors[k] > 0)
+        assert waiting == 0
+        assert len(started) == len(runtime.runs)
