@@ -18,7 +18,7 @@ import yaml
 
 from . import discovery, flows, metrics, synth
 from .fields import MiakitError, ValidationError, _list, read_text
-from .infrastructure import InfrastructureGraph, build_graph, propagate_static_impact
+from .infrastructure import InfrastructureGraph, build_topology, graph_doc, propagate_static_impact
 from .kernel import run_replications
 from .scenario import infrastructure_of, load_scenario, read_yaml
 
@@ -126,20 +126,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
     _write(args.out, _dump_yaml(doc))
     if args.graph_out:
         graph = discovery.export_graph(direct, indirect, chains)
-        graph_doc = {
-            "schema_version": 1,
-            "assets": [
-                {"id": a.id, "kind": a.kind, "name": a.name, "subnet": a.subnet}
-                for a in (graph.assets[k] for k in sorted(graph.assets))
-            ],
-            "edges": [
-                {"from": e.from_id, "to": e.to_id, "kind": e.kind}
-                for e in graph.edges
-            ],
-            "vulnerabilities": [],
-            "annotations": graph.annotations,
-        }
-        _write(args.graph_out, _dump_yaml(graph_doc))
+        gdoc = {"schema_version": 1, **graph_doc(graph.topology), "annotations": graph.annotations}
+        gdoc["assets"].sort(key=lambda a: a["id"])
+        _write(args.graph_out, _dump_yaml(gdoc))
     print(
         f"discover: {len(records)} flows -> {len(direct)} direct, "
         f"{len(indirect)} indirect, {len(chains)} retry chains"
@@ -200,13 +189,11 @@ def _load_bindings(path: str) -> dict:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
-    graph_doc = read_yaml(args.graph)
-    if graph_doc is not None and not isinstance(graph_doc, dict):
+    doc = read_yaml(args.graph)
+    if doc is not None and not isinstance(doc, dict):
         raise ValidationError(args.graph, "graph document must be a mapping")
-    if graph_doc and "infrastructure" in graph_doc:
-        graph = InfrastructureGraph(infrastructure_of(graph_doc)[1])
-    else:
-        graph = build_graph(graph_doc or {})
+    nested = doc and "infrastructure" in doc
+    graph = InfrastructureGraph(infrastructure_of(doc) if nested else build_topology(doc or {}))
     compromised = [c for c in (args.compromised or "").split(",") if c]
     bindings = _load_bindings(args.mission)
     report = propagate_static_impact(graph, compromised, bindings)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import ValidationError
 from .flows import Channel, ChannelSeries, FlowRecord, ServiceKey, channel_index
-from .infrastructure import InfrastructureGraph, build_graph
+from .infrastructure import Asset, DependencyEdge, InfrastructureGraph, Topology
 
 DEFAULT_NCC_THRESHOLD = 0.8
 DEFAULT_MAX_LAG = 30
@@ -418,29 +418,15 @@ def export_graph(
         services.add(r.first_contact)
         services.add(r.fallback)
 
-    spec: dict = {"assets": [], "edges": [], "vulnerabilities": []}
-    for host in sorted(clients):
-        spec["assets"].append({"id": host, "kind": "device", "name": host})
-    for svc in sorted(services, key=lambda s: s.label()):
-        spec["assets"].append({"id": svc.label(), "kind": "service", "name": svc.label()})
-
-    seen: set[tuple[str, str, str]] = set()
-    for d in direct:
-        key = (d.client, d.service.label(), "discovered_direct")
-        if key not in seen:
-            seen.add(key)
-            spec["edges"].append(
-                {"from": d.client, "to": d.service.label(), "kind": "discovered_direct"}
-            )
+    assets = [Asset(host, "device", host) for host in sorted(clients)]
+    assets += [Asset(label, "service", label) for label in sorted(s.label() for s in services)]
+    edges = [DependencyEdge(d.client, d.service.label(), "discovered_direct") for d in direct]
     for i in indirect:
-        key = (i.upstream.service.label(), i.downstream.service.label(), "discovered_indirect")
-        if key[0] != key[1] and key not in seen:
-            seen.add(key)
-            spec["edges"].append(
-                {"from": key[0], "to": key[1], "kind": "discovered_indirect"}
-            )
-
-    graph = build_graph(spec)
+        up, down = i.upstream.service.label(), i.downstream.service.label()
+        if up != down:
+            edges.append(DependencyEdge(up, down, "discovered_indirect"))
+    # dict.fromkeys drops repeated edges and keeps first-seen order.
+    graph = InfrastructureGraph(Topology(assets, dict.fromkeys(edges)))
     for r in retry_chains:
         graph.annotations.append(
             {

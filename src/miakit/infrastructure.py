@@ -405,25 +405,18 @@ def _vulnerability(entry: dict) -> Vulnerability:
 _GRAPH_ENTRIES = {"assets": _asset, "edges": _edge, "vulnerabilities": _vulnerability}
 
 
-def graph_lists(spec: Mapping) -> dict[str, list]:
-    """The ``assets``, ``edges`` and ``vulnerabilities`` of a graph document,
-    each checked to be a list (absent or null reads as empty); a wrong one
-    is a :class:`~miakit.fields.ValidationError` naming it."""
-    return {key: list(_list(spec.get(key), key)) for key in _GRAPH_ENTRIES}
-
-
 def build_topology(spec: Mapping) -> Topology:
-    """Build and validate a topology from its structured description.
+    """Build and validate a topology from its graph document (see :func:`graph_doc`).
 
     ``spec`` mirrors the ``infrastructure`` section of a scenario document:
-    ``assets`` (id/kind/name/subnet), ``edges`` (from/to/kind/group)
-    and ``vulnerabilities`` (asset/exploit), read through :func:`graph_lists`.
+    lists (absent or null reads as empty) of ``assets`` (id/kind/name/subnet),
+    ``edges`` (from/to/kind/group) and ``vulnerabilities`` (asset/exploit).
     A wrong field is a :class:`~miakit.fields.ValidationError` naming its
     path in the document, such as ``edges`` or ``assets[3].id``.
     """
-    lists = graph_lists(spec)  # new lists: each entry is replaced by what it reads as
-    for key, read in _GRAPH_ENTRIES.items():
-        entries = lists[key]
+    # New lists: each entry is replaced by what it reads as.
+    lists = [list(_list(spec.get(key), key)) for key in _GRAPH_ENTRIES]
+    for (key, read), entries in zip(_GRAPH_ENTRIES.items(), lists):
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValidationError(f"{key}[{i}]", "must be a mapping")
@@ -431,7 +424,30 @@ def build_topology(spec: Mapping) -> Topology:
                 entries[i] = read(entry)
             except ValidationError as exc:
                 raise exc.under(f"{key}[{i}]") from None
-    return Topology(lists["assets"], lists["edges"], lists["vulnerabilities"])
+    return Topology(*lists)
+
+
+def graph_doc(topology: Topology) -> dict:
+    """The graph document of ``topology``, the inverse of :func:`build_topology`:
+    every asset field written out, an edge's ``group`` only when it is set.
+    Building a topology from it gives equal assets, edges and
+    vulnerabilities, in the same order."""
+    edges = []
+    for e in topology.edges:
+        entry = {"from": e.from_id, "to": e.to_id, "kind": e.kind}
+        if e.group is not None:
+            entry["group"] = e.group
+        edges.append(entry)
+    return {
+        "assets": [
+            {"id": a.id, "kind": a.kind, "name": a.name, "subnet": a.subnet}
+            for a in topology.assets.values()
+        ],
+        "edges": edges,
+        "vulnerabilities": [
+            {"asset": v.asset_id, "exploit": v.exploit_id} for v in topology.vulnerabilities
+        ],
+    }
 
 
 def build_graph(spec: Mapping) -> InfrastructureGraph:

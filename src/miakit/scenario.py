@@ -23,7 +23,7 @@ from .fields import (
     ValidationError, _list, _mapping, _read_float, _read_int, _require, read_text, within
 )
 from .infrastructure import (
-    InfrastructureGraph, Topology, _exploit_name, build_topology, graph_lists
+    InfrastructureGraph, Topology, _exploit_name, build_topology, graph_doc
 )
 from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
 from .mission import (
@@ -54,6 +54,10 @@ _SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 
 # How many parameters each distribution kind takes.
 _ARITY = {"fixed": 1, "exponential": 1, "uniform": 2, "triangular": 3}
+
+# Most scans, or phishing attempts, an attacker may be expected to make over the
+# horizon; past it a document is refused at load instead of running for hours.
+MAX_EXPECTED_ATTACKER_STEPS = 1_000_000
 
 
 def parse_duration(value: Any, fieldname: str = "duration") -> float:
@@ -204,7 +208,6 @@ def _spec_doc(spec: Any, table: dict) -> dict:
 
 @dataclass
 class Scenario:
-    infrastructure: dict
     topology: Topology
     mission: MissionSpec
     attacker: AttackerSpec | None
@@ -274,7 +277,8 @@ def read_yaml(path: str) -> Any:
     YAML is a :class:`ValidationError` naming the path, whose message fits
     on one line.  Each distinct string in the document is one object: a
     large graph repeats its keys, asset kinds and asset ids thousands of
-    times, and a scenario keeps its infrastructure entries while it lives."""
+    times, and the topology's assets and edges then share those id and kind
+    strings instead of each holding a copy."""
     try:
         loader = _SafeLoader(read_text(path))
         scalar = loader.construct_scalar
@@ -296,14 +300,12 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(doc, source=path)
 
 
-def infrastructure_of(doc: dict) -> tuple[dict, Topology]:
-    """The checked lists (see :func:`graph_lists`) and the topology of a
-    scenario document's ``infrastructure`` section; an error names its field
-    as ``infrastructure.<path>``."""
+def infrastructure_of(doc: dict) -> Topology:
+    """The topology of a scenario document's ``infrastructure`` section; an
+    error names its field as ``infrastructure.<path>``."""
     infra = _mapping(doc.get("infrastructure"), "infrastructure")
     with within("infrastructure"):
-        infra = graph_lists(infra)
-        return infra, build_topology(infra)
+        return build_topology(infra)
 
 
 def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
@@ -311,7 +313,7 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     if version != SCHEMA_VERSION:
         raise ValidationError("schema_version", f"unsupported version {version!r}")
 
-    infra, topology = infrastructure_of(doc)
+    topology = infrastructure_of(doc)
 
     sim_doc = _mapping(doc.get("sim"), "sim")
     horizon = parse_duration(sim_doc.get("horizon", "1d"), "sim.horizon")
@@ -381,6 +383,15 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
         adoc = _mapping(doc["attacker"], "attacker")
         with within("attacker"):
             attacker = _read_spec(AttackerSpec, _ATTACKER_FIELDS, adoc)
+        for name in ("scan_interval", "spearphish_interval"):
+            mean = getattr(attacker, name).mean()
+            # The interval alone, then scaled by agility: the error names the cause.
+            for cause, step in ((name, mean), ("agility", mean * attacker.agility)):
+                steps = horizon / step if step > 0 else float("inf")
+                if steps > MAX_EXPECTED_ATTACKER_STEPS:
+                    why = f"a mean {name} step of {step:g} s over {horizon:g} s expects"
+                    why += f" {steps:.3g} steps, more than {MAX_EXPECTED_ATTACKER_STEPS}"
+                    raise ValidationError(f"attacker.{cause}", why)
         if attacker.target not in topology.assets:
             raise ValidationError("attacker.target", f"unknown asset {attacker.target!r}")
         task = attacker.start.task
@@ -400,7 +411,6 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
                 defender = _read_spec(DefenderSpec, _DEFENDER_FIELDS, ddoc)
 
     return Scenario(
-        infrastructure=infra,
         topology=topology,
         mission=mission,
         attacker=attacker,
@@ -417,7 +427,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     mission = scenario.mission
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "infrastructure": scenario.infrastructure,
+        "infrastructure": graph_doc(scenario.topology),
         "mission": {
             "day_length": mission.day_length,
             "checkpoints": list(mission.checkpoints),

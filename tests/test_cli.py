@@ -63,6 +63,9 @@ LIST_FIELDS = [
     (("mission", "tasks", 0, "requires"), "mission.tasks[0].requires"),
     (("mission", "tasks", 0, "after"), "mission.tasks[0].after"),
     (("attacker", "capabilities"), "attacker.capabilities"),
+    (("infrastructure", "assets"), "infrastructure.assets"),
+    (("infrastructure", "edges"), "infrastructure.edges"),
+    (("infrastructure", "vulnerabilities"), "infrastructure.vulnerabilities"),
 ]
 
 
@@ -82,6 +85,10 @@ def with_section(path, value):
     doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
     if path[0] in ("attacker", "defender"):
         doc["attacker"], doc["defender"] = dict(ATTACKER), None
+    if path[:2] == ("infrastructure", "assets"):
+        # Nothing may name an asset once the assets are replaced.
+        doc["infrastructure"]["vulnerabilities"] = []
+        doc["mission"]["tasks"][0]["requires"] = []
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -205,10 +212,46 @@ class TestScenarioLoading:
             out = str(tmp_path / f"echo_{name}")
             save_scenario(sc, out)
             again = load_scenario(out)
+            assert scenario_to_dict(again) == scenario_to_dict(sc)
             assert again.mission == sc.mission
             assert again.attacker == sc.attacker
             assert again.defender == sc.defender
-            assert again.infrastructure == sc.infrastructure
+            mine, theirs = sc.topology, again.topology
+            assert list(theirs.assets.values()) == list(mine.assets.values())
+            assert theirs.edges == mine.edges
+            assert theirs.vulnerabilities == mine.vulnerabilities
+            # Component numbering follows the asset order, so equal rows
+            # also pin that order.
+            assert again.run_replication(0, sc.base_seed) == sc.run_replication(0, sc.base_seed)
+
+    @pytest.mark.parametrize("field,extra", [
+        ("scan_interval", {}),
+        ("spearphish_interval", {"spearphish_success_prob": 0}),
+    ])
+    def test_attacker_steps_past_the_bound_are_refused(self, field, extra):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))  # a 3600 s horizon
+        doc["defender"] = None
+        attacker = {**ATTACKER, "capabilities": [], **extra}
+        doc["attacker"] = {**attacker, field: {"exponential": 0.004}}
+        scenario_from_dict(doc)  # 900k expected steps
+        for step, cause in (({field: {"exponential": 0.003}}, field),
+                            ({field: {"exponential": 1e-6}}, field),
+                            ({field: {"fixed": 1}, "agility": 0.001}, "agility")):
+            doc["attacker"] = {**attacker, **step}
+            with pytest.raises(ValidationError) as err:
+                scenario_from_dict(doc)
+            assert err.value.field == f"attacker.{cause}"
+            assert err.value.reason.endswith("steps, more than 1000000")
+
+    def test_attacker_steps_past_the_bound_are_one_error_line(self, tmp_path, capsys):
+        doc = scenario_mod.read_yaml(bundled_path("checkpoint.yaml"))
+        doc["attacker"].update(capabilities=[], start={"fixed": 0},
+                               scan_interval={"exponential": 1e-6})
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--replications", "1", "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: attacker.scan_interval: ")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -354,6 +397,28 @@ class TestCliDiscover:
         assert any(a["kind"] == "service" for a in gdoc["assets"])
         assert len(gdoc["annotations"]) == 3
         assert gdoc["edges"] and all(set(e) == {"from", "to", "kind"} for e in gdoc["edges"])
+
+    def test_discovered_graph_feeds_propagate(self, tmp_path, capsys):
+        flows_path, _ = self._gen(tmp_path)
+        graph_out = str(tmp_path / "graph.yaml")
+        assert main(["discover", "--flows", flows_path, "--out", str(tmp_path / "deps.yaml"),
+                     "--graph-out", graph_out]) == 0
+        edge = yaml.safe_load(open(graph_out))["edges"][0]
+        client, service = edge["from"], edge["to"]
+        mission = tmp_path / "mission.yaml"
+        mission.write_text(yaml.safe_dump({"tasks": [
+            {"id": "use", "requires": [service]},
+            {"id": "work", "requires": [client]},
+        ]}))
+        capsys.readouterr()
+        rc = main(["propagate", "--graph", graph_out, "--compromised", service,
+                   "--mission", str(mission)])
+        assert rc == 0
+        report = yaml.safe_load(capsys.readouterr().out)
+        assert report["tasks"] == {
+            "use": {"impacted": True, "witness": [service]},
+            "work": {"impacted": True, "witness": [client, service]},
+        }
 
     def test_discover_output_deterministic(self, tmp_path):
         flows_path, _ = self._gen(tmp_path, topology="cascade_clean.yaml")
@@ -788,14 +853,25 @@ class TestGraphDocuments:
             f"error: {gpath}: graph document must be a mapping"
         ]
 
-    def test_scenario_stores_the_checked_lists(self):
+    def test_saved_infrastructure_is_in_normal_form(self):
         doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
-        doc["infrastructure"]["edges"] = None
-        infra = scenario_from_dict(doc).infrastructure
-        assert infra == {
-            "assets": MINIMAL["infrastructure"]["assets"],
-            "edges": [],
-            "vulnerabilities": MINIMAL["infrastructure"]["vulnerabilities"],
+        doc["infrastructure"]["assets"].append({"id": 7, "note": "spare"})
+        doc["infrastructure"]["edges"] = [
+            {"from": "sys", "to": "ws-1", "weight": 3},
+            {"from": "sys", "to": 7, "group": "g"},
+        ]
+        echoed = scenario_to_dict(scenario_from_dict(doc))["infrastructure"]
+        assert echoed == {
+            "assets": [
+                {"id": "ws-1", "kind": "end_user_node", "name": "ws-1", "subnet": "lan"},
+                {"id": "sys", "kind": "application", "name": "sys", "subnet": "lan"},
+                {"id": "7", "kind": "device", "name": "7", "subnet": None},
+            ],
+            "edges": [
+                {"from": "sys", "to": "ws-1", "kind": "declared"},
+                {"from": "sys", "to": "7", "kind": "declared", "group": "g"},
+            ],
+            "vulnerabilities": [{"asset": "sys", "exploit": "e1"}],
         }
 
     @settings(max_examples=60, deadline=None)

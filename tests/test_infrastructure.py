@@ -3,10 +3,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miakit.infrastructure import (
+    ASSET_KINDS,
+    EDGE_KINDS,
     MEMO_LIMIT,
     AssetState,
     DanglingReference,
@@ -17,8 +20,10 @@ from miakit.infrastructure import (
     UnknownAsset,
     UnknownTask,
     build_graph,
+    build_topology,
     effective_performance,
     effective_performance_all,
+    graph_doc,
     propagate_static_impact,
     reachable_dependents,
     set_state,
@@ -453,6 +458,36 @@ class TestIncrementalPerformance:
         assert all(s.mode == "operational" for s in second.states.values())
         assert second.history == []
         assert set(effective_performance_all(second).values()) <= {1.0}
+
+
+@st.composite
+def graph_documents(draw):
+    """A graph of :func:`graph_and_changes` (cycles, any-of groups) with asset
+    kinds, names, subnets, edge kinds and vulnerabilities drawn on top."""
+    spec, _ = draw(graph_and_changes())
+    ids = [a["id"] for a in spec["assets"]]
+    for asset in spec["assets"]:
+        asset["kind"] = draw(st.sampled_from(sorted(ASSET_KINDS)))
+        asset["subnet"] = draw(st.sampled_from([None, "s1", "s2", 3]))
+        if draw(st.booleans()):
+            asset["name"] = draw(st.text(max_size=4))
+    for edge in spec["edges"]:
+        edge["kind"] = draw(st.sampled_from(sorted(EDGE_KINDS)))
+    vulns = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(["e1", "e2"])),
+                          max_size=8))
+    spec["vulnerabilities"] = [{"asset": a, "exploit": e} for a, e in vulns]
+    return spec
+
+
+class TestGraphDocument:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_documents())
+    def test_built_again_from_its_yaml_it_is_the_same_topology(self, spec):
+        topology = build_topology(spec)
+        again = build_topology(yaml.safe_load(yaml.safe_dump(graph_doc(topology))))
+        assert list(again.assets.values()) == list(topology.assets.values())
+        assert again.edges == topology.edges
+        assert again.vulnerabilities == topology.vulnerabilities
 
 
 class TestScenarioOverlays:
