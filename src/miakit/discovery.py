@@ -106,27 +106,27 @@ def _check_binning(x: ChannelSeries, y: ChannelSeries) -> None:
         )
 
 
-def _moments(w: np.ndarray) -> tuple[float, float]:
-    """The mean and sample standard deviation of a float window of length
-    m >= 2.
+# Float elements stacked for one chunk of pairs.  A chunk also keeps its
+# centred windows and one scratch array, each no larger, so scoring holds a
+# few MiB of floats however many channels share a pivot and however many bins
+# their series have.
+_CHUNK_ELEMENTS = 1 << 18
 
-    These are the ufunc steps that ``ndarray.mean`` and ``ndarray.std(ddof=1)``
-    run, so scores are bit-identical to those methods'.
+
+def _centre(windows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Centre each row of the (k, m) float ``windows`` into ``out`` and return
+    the rows' sample standard deviations; m >= 2, and ``scratch`` has at least
+    k rows and m columns.
+
+    Each row is reduced with the ufunc steps that ``ndarray.mean`` and
+    ``ndarray.std(ddof=1)`` run on it alone, summed in the same pairwise
+    order, so the results are bit-identical to those methods'.
     """
-    m = len(w)
-    mean = np.add.reduce(w) / m
-    d = w - mean
-    return mean, math.sqrt(np.add.reduce(d * d) / (m - 1))
-
-
-def _pearson(xs: np.ndarray, x_moments: tuple, ys: np.ndarray, y_moments: tuple) -> float | None:
-    """Pearson correlation of two equal-length float windows given their
-    :func:`_moments`, or None when either has zero variance."""
-    (mx, sx), (my, sy) = x_moments, y_moments
-    if sx == 0.0 or sy == 0.0:
-        return None
-    r = float(np.dot(xs - mx, ys - my) / ((len(xs) - 1) * sx * sy))
-    return max(-1.0, min(1.0, r))
+    k, m = windows.shape
+    mean = np.add.reduce(windows, axis=1) / m
+    np.subtract(windows, mean[:, None], out=out)
+    squares = np.multiply(out, out, out=scratch[:k, :m])
+    return np.sqrt(np.add.reduce(squares, axis=1) / (m - 1))
 
 
 def ncc(x: ChannelSeries, y: ChannelSeries, lag: int) -> float:
@@ -142,52 +142,117 @@ def ncc(x: ChannelSeries, y: ChannelSeries, lag: int) -> float:
     m = min(len(x.counts) - skip_x, len(y.counts) - skip_y)
     if m < 2:
         raise InsufficientOverlap(f"overlap of {m} bins at lag {lag}")
-    xs = np.asarray(x.counts[skip_x : skip_x + m], dtype=float)
-    ys = np.asarray(y.counts[skip_y : skip_y + m], dtype=float)
-    score = _pearson(xs, _moments(xs), ys, _moments(ys))
-    if score is None:
+    windows = np.empty((2, m))
+    windows[0] = x.counts[skip_x : skip_x + m]
+    windows[1] = y.counts[skip_y : skip_y + m]
+    centred = np.empty_like(windows)
+    sx, sy = _centre(windows, centred, np.empty_like(windows))
+    if sx == 0.0 or sy == 0.0:
         raise ConstantSeries(f"zero variance over {m}-bin overlap at lag {lag}")
-    return score
+    r = float(centred[0].dot(centred[1]) / ((m - 1) * sx * sy))
+    return max(-1.0, min(1.0, r))
 
 
-class _Windows:
-    """One count series as float, with each window's :func:`_moments` kept
-    by (start, length) once computed.
+Pair = tuple[ChannelSeries, ChannelSeries]
 
-    Only two scalars are kept per window, so a memo holds one float copy of
-    each series plus O(windows) scalars, whatever ``max_lag`` is.
+
+def _stack(series: list[ChannelSeries]) -> tuple[np.ndarray, dict[int, int]]:
+    """The counts of the distinct series objects in ``series``, all of one
+    length, as the rows of one float array, and each one's row by ``id``."""
+    distinct = {id(s): s for s in series}
+    stack = np.empty((len(distinct), len(series[0].counts)))
+    for row, s in enumerate(distinct.values()):
+        stack[row] = s.counts
+    return stack, {key: row for row, key in enumerate(distinct)}
+
+
+def _score_chunk(
+    pairs: list[Pair], ks: list[int], max_lag: int, best: list[tuple[int, float] | None]
+) -> None:
+    """Set ``best[k]`` for each pair number k in ``ks``, which share x and y
+    lengths, walking the lags once in increasing order.
+
+    At each lag every distinct x prefix window and y window is centred, one
+    :func:`_centre` call per side, and a pair's score is one dot product of
+    its two centred rows, as :func:`ncc` computes it.
     """
+    xs, x_row = _stack([pairs[k][0] for k in ks])
+    ys, y_row = _stack([pairs[k][1] for k in ks])
+    px = np.array([x_row[id(pairs[k][0])] for k in ks])
+    py = np.array([y_row[id(pairs[k][1])] for k in ks])
+    rows = list(zip(px.tolist(), py.tolist()))
+    nx, ny = xs.shape[1], ys.shape[1]
+    width = min(nx, ny)
+    cx, cy = np.empty((len(xs), width)), np.empty((len(ys), width))
+    scratch = np.empty((max(len(xs), len(ys)), width))
+    best_lag = np.full(len(ks), -1)
+    best_score = np.full(len(ks), -np.inf)
+    x_len = 0
+    for lag in range(min(max_lag, ny - 2) + 1):
+        m = min(nx, ny - lag)
+        if m != x_len:
+            # x's windows are prefixes, so they change only with the overlap.
+            sx, x_len = _centre(xs[:, :m], cx[:, :m], scratch), m
+            x_windows = list(cx[:, :m])
+        sy = _centre(ys[:, lag : lag + m], cy[:, :m], scratch)
+        y_windows = list(cy[:, :m])
+        dots = np.array([x_windows[i].dot(y_windows[j]) for i, j in rows])
+        sx_k, sy_k = sx[px], sy[py]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.clip(dots / ((m - 1) * sx_k * sy_k), -1.0, 1.0)
+        # Within 1e-12 of the best counts as a tie, which the earlier lag keeps.
+        better = (sx_k != 0.0) & (sy_k != 0.0) & (score > best_score + 1e-12)
+        best_score[better] = score[better]
+        best_lag[better] = lag
+    for k, lag, score in zip(ks, best_lag.tolist(), best_score.tolist()):
+        if lag >= 0:
+            best[k] = (lag, score)
 
-    __slots__ = ("series", "counts", "floats", "moments")
 
-    def __init__(self, series: ChannelSeries):
-        # Held so that the series' id, the memo key, stays its own.
-        self.series = series
-        self.counts = series.counts
-        self.floats = np.asarray(series.counts, dtype=float)
-        self.moments: dict[tuple[int, int], tuple[float, float]] = {}
+def _chunks(pairs: list[Pair], ks: list[int], n: int) -> list[list[int]]:
+    """The pair numbers ``ks`` split so that each chunk's distinct x and y
+    series, times ``n`` bins, stay within :data:`_CHUNK_ELEMENTS`.
 
-    def get(self, start: int, m: int) -> tuple[np.ndarray, tuple[float, float]]:
-        """The window's floats and their moments."""
-        w = self.floats[start : start + m]
-        moments = self.moments.get((start, m))
-        if moments is None:
-            moments = self.moments[start, m] = _moments(w)
-        return w, moments
+    The distinct x series, in first-seen order, are cut into blocks of ``a``
+    and the y series into blocks of ``b``, ``a + b`` series in all; a chunk
+    is the pairs of one x block and one y block, so pairs that share series
+    share chunks.
+    """
+    x_num: dict[int, int] = {}
+    y_num: dict[int, int] = {}
+    for k in ks:
+        x_num.setdefault(id(pairs[k][0]), len(x_num))
+        y_num.setdefault(id(pairs[k][1]), len(y_num))
+    rows = max(2, _CHUNK_ELEMENTS // n)
+    a = min(len(x_num), max(rows - len(y_num), rows // 2))
+    b = rows - a
+    chunks: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for k in ks:
+        chunks[x_num[id(pairs[k][0])] // a, y_num[id(pairs[k][1])] // b].append(k)
+    return list(chunks.values())
 
 
-def _windows_of(memo: dict[int, _Windows], series: ChannelSeries) -> _Windows:
-    windows = memo.get(id(series))
-    if windows is None or windows.counts is not series.counts:
-        windows = memo[id(series)] = _Windows(series)
-    return windows
+def _best_lags(pairs: list[Pair], max_lag: int) -> list[tuple[int, float] | None]:
+    """The :func:`max_lag_ncc` of each (x, y) pair, or None where no lag
+    admits a correlation.
+
+    Pairs are grouped by their x and y lengths and each group is split by
+    :func:`_chunks`, so the floats held at once stay bounded.
+    """
+    groups: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for k, (x, y) in enumerate(pairs):
+        _check_binning(x, y)
+        groups[len(x.counts), len(y.counts)].append(k)
+    best: list[tuple[int, float] | None] = [None] * len(pairs)
+    for (nx, ny), ks in groups.items():
+        if nx >= 2 and ny >= 2:
+            for chunk in _chunks(pairs, ks, max(nx, ny)):
+                _score_chunk(pairs, chunk, max_lag, best)
+    return best
 
 
 def max_lag_ncc(
-    x: ChannelSeries,
-    y: ChannelSeries,
-    max_lag: int = DEFAULT_MAX_LAG,
-    memo: dict | None = None,
+    x: ChannelSeries, y: ChannelSeries, max_lag: int = DEFAULT_MAX_LAG
 ) -> tuple[int, float]:
     """(lag, score) maximizing :func:`ncc` over lags 0..max_lag; smallest lag
     wins ties.
@@ -195,29 +260,10 @@ def max_lag_ncc(
     Scores within 1e-12 count as tied, so float jitter between overlap
     windows cannot steal a tie from the earlier lag.  Lags past
     ``len(y.counts) - 2`` overlap in fewer than two bins and are not tried,
-    so the cost does not grow with ``max_lag``.
-
-    ``memo``, a dict the caller starts empty, keeps each series' float copy
-    and window means and deviations across calls, keyed by the series
-    object, so scoring one series against several others computes its
-    window statistics once.  A series whose ``counts`` is set to another
-    array gets fresh statistics; the elements of a series' counts must not
-    change while the memo is in use.  Without it, the call starts a memo of
-    its own.
+    so the cost does not grow with ``max_lag``.  This is the scorer of
+    :func:`infer_indirect` run on one pair, with bit-identical scores.
     """
-    _check_binning(x, y)
-    if memo is None:
-        memo = {}
-    wx, wy = _windows_of(memo, x), _windows_of(memo, y)
-    nx, ny = len(wx.floats), len(wy.floats)
-    best: tuple[int, float] | None = None
-    for lag in range(min(max_lag, ny - 2) + 1):
-        m = min(nx, ny - lag)
-        if m < 2:
-            continue
-        score = _pearson(*wx.get(0, m), *wy.get(lag, m))
-        if score is not None and (best is None or score > best[1] + 1e-12):
-            best = (lag, score)
+    best = _best_lags([(x, y)], max_lag)[0]
     if best is None:
         raise NoValidLag(f"no lag in [0, {max_lag}] admits a correlation")
     return best
@@ -244,12 +290,11 @@ def infer_indirect(
     B is the service host of the upstream channel and the client of the
     downstream one.  Pairs where either channel is constant are skipped;
     a dependency is emitted when the best lagged score reaches ``threshold``.
-    Pairs are scored pivot by pivot, with one :func:`max_lag_ncc` memo per
-    pivot, so a ``series_for`` that returns the same series object for a
-    channel on every call has each window's statistics computed once.  For
-    the same reason ``series_for`` must not change, during the call, the
-    elements of the counts of a series it has already returned (setting
-    ``counts`` to a new array is seen and is safe).
+    Each pair's best lag and score are those of :func:`max_lag_ncc`, but all
+    pairs are scored together, lag by lag: at each lag every distinct window
+    is centred once for all the pairs it is in, and the floats held at once
+    stay bounded however busy a pivot is.  ``series_for`` is called once per
+    channel that is in a pair.
     """
     check_indirect_options(threshold, max_lag, min_activity)
     by_pivot: dict[str, list[Channel]] = defaultdict(list)
@@ -259,29 +304,24 @@ def infer_indirect(
             by_pivot[d.service.host].append(d.channel())
             by_client[d.client].append(d.channel())
 
+    channel_pairs = [
+        (up, down)
+        for pivot, ups in by_pivot.items()
+        for up in ups
+        for down in by_client.get(pivot, ())
+        if down != up
+    ]
+    series: dict[Channel, ChannelSeries] = {}
+    for pair in channel_pairs:
+        for channel in pair:
+            if channel not in series:
+                series[channel] = series_for(channel)
+    scores = _best_lags([(series[up], series[down]) for up, down in channel_pairs], max_lag)
     found: list[IndirectDependency] = []
-    for pivot, ups in by_pivot.items():
-        memo: dict[int, _Windows] = {}
-        for up in ups:
-            for down in by_client.get(pivot, ()):
-                if down == up:
-                    continue
-                try:
-                    xs = series_for(up)
-                    ys = series_for(down)
-                    lag, score = max_lag_ncc(xs, ys, max_lag, memo)
-                except (ConstantSeries, InsufficientOverlap, NoValidLag):
-                    continue
-                if score >= threshold:
-                    found.append(
-                        IndirectDependency(
-                            upstream=up,
-                            downstream=down,
-                            lag_s=lag * xs.bin_width,
-                            lag_bins=lag,
-                            score=score,
-                        )
-                    )
+    for (up, down), best in zip(channel_pairs, scores):
+        if best is not None and best[1] >= threshold:
+            lag, score = best
+            found.append(IndirectDependency(up, down, lag * series[up].bin_width, lag, score))
     found.sort(key=lambda i: (i.upstream.service.host, i.upstream.label(), i.downstream.label()))
     return found
 

@@ -55,8 +55,9 @@ _SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 # How many parameters each distribution kind takes.
 _ARITY = {"fixed": 1, "exponential": 1, "uniform": 2, "triangular": 3}
 
-# Most scans, or phishing attempts, an attacker may be expected to make over the
-# horizon; past it a document is refused at load instead of running for hours.
+# Most scans or phishing attempts an attacker, or forensics passes a defender,
+# may be expected to make over the horizon; past it a document is refused at
+# load instead of running for hours.
 MAX_EXPECTED_ATTACKER_STEPS = 1_000_000
 
 
@@ -409,6 +410,19 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
             ddoc = _mapping(doc["defender"], "defender")
             with within("defender"):
                 defender = _read_spec(DefenderSpec, _DEFENDER_FIELDS, ddoc)
+            # A pass that leaves a host hidden is followed by another, so passes
+            # repeat until the horizon, or at one instant until a find if they
+            # take no time; each host is found in 1 / p passes on average.
+            mean = defender.forensics_duration.mean()
+            p = defender.per_host_discovery_prob
+            passes = min(
+                horizon / mean if mean > 0 else float("inf"), 1 / p if p > 0 else float("inf")
+            )
+            if passes > MAX_EXPECTED_ATTACKER_STEPS:
+                why = f"a mean pass of {mean:g} s over {horizon:g} s, finding a hidden host"
+                why += f" with probability {p:g}, expects {passes:.3g} passes,"
+                why += f" more than {MAX_EXPECTED_ATTACKER_STEPS}"
+                raise ValidationError("defender.forensics_duration", why)
 
     return Scenario(
         topology=topology,

@@ -253,6 +253,35 @@ class TestScenarioLoading:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: attacker.scan_interval: ")
 
+    def test_forensics_passes_past_the_bound_are_refused(self):
+        doc = yaml.safe_load(yaml.safe_dump(MINIMAL))  # a 3600 s horizon
+        doc["attacker"] = dict(ATTACKER)
+        loads = [({"exponential": 0.004}, 0),  # 900k expected passes
+                 ({"exponential": 1e-6}, 1),  # one pass finds every host
+                 ({"fixed": 0}, 1e-6)]  # a host is found in 1e6 passes
+        refused = [({"exponential": 0.003}, 0), ({"exponential": 1e-6}, 0),
+                   ({"exponential": 1e-6}, 1e-7), ({"fixed": 0}, 1e-7)]
+        for duration, prob in loads + refused:
+            doc["defender"] = {"forensics_duration": duration, "per_host_discovery_prob": prob}
+            if (duration, prob) in loads:
+                scenario_from_dict(doc)
+                continue
+            with pytest.raises(ValidationError) as err:
+                scenario_from_dict(doc)
+            assert err.value.field == "defender.forensics_duration"
+            assert err.value.reason.endswith("passes, more than 1000000")
+
+    def test_forensics_passes_past_the_bound_are_one_error_line(self, tmp_path, capsys):
+        # At load: a run of this document has not finished within 8 s.
+        doc = scenario_mod.read_yaml(bundled_path("checkpoint.yaml"))
+        doc["defender"] = {"detect_delay": {"fixed": 0}, "per_host_discovery_prob": 0,
+                           "forensics_duration": {"exponential": 1e-6}}
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                   "--replications", "1", "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: defender.forensics_duration: ")
+
     @settings(max_examples=40, deadline=None)
     @given(
         section=st.sampled_from(SECTIONS),

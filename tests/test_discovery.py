@@ -3,12 +3,14 @@ import random
 import time
 import tracemalloc
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miakit import discovery
 from miakit.discovery import (
     DEFAULT_DOMINANCE,
     DEFAULT_EPISODE_GAP,
@@ -281,15 +283,6 @@ class TestLagScan:
             tracemalloc.stop()
         assert peak < 4_000_000
 
-    def test_memo_sees_counts_set_to_a_new_array(self):
-        rng = np.random.default_rng(7)
-        x = int_series(rng.poisson(3.0, 100))
-        y = int_series(rng.poisson(3.0, 100))
-        memo = {}
-        max_lag_ncc(x, y, 10, memo)
-        y.counts = rng.poisson(3.0, 100)
-        assert max_lag_ncc(x, y, 10, memo) == max_lag_ncc(x, y, 10)
-
     def test_mismatched_binning_checked_once_up_front(self):
         with pytest.raises(MismatchedBinning):
             max_lag_ncc(series([1, 2, 3]), series([1, 2, 3], start=10), 0)
@@ -448,40 +441,55 @@ pivot_counts = st.one_of(count_series, st.integers(min_value=0, max_value=30).ma
 
 def pair_by_pair(direct, series_for, max_lag, min_activity):
     """Reference: every (upstream, downstream) pair through a shared pivot,
-    scored on its own by :func:`max_lag_ncc`; None for a skipped pair."""
+    scored on its own by :func:`lag_loop` over :func:`methods_ncc`; None for
+    a skipped pair."""
     active = [d for d in direct if d.flow_count >= min_activity]
     out = {}
     for up in active:
         for down in active:
             if down.client != up.service.host or down.channel() == up.channel():
                 continue
-            try:
-                out[up.channel(), down.channel()] = max_lag_ncc(
-                    series_for(up.channel()), series_for(down.channel()), max_lag
-                )
-            except NoValidLag:
-                out[up.channel(), down.channel()] = None
+            out[up.channel(), down.channel()] = lag_loop(
+                series_for(up.channel()), series_for(down.channel()), max_lag, methods_ncc
+            )
     return out
 
 
+def emitted(found):
+    return [(i.upstream, i.downstream, i.lag_bins, repr(i.score)) for i in found]
+
+
+def busy_pivot(ups, downs, bins, seed):
+    """Direct dependencies of ``ups`` clients into pivot p and of p into
+    ``downs`` services, and their Poisson count series of ``bins`` bins."""
+    rng = np.random.default_rng(seed)
+    direct = [DirectDependency(f"c{i}", ServiceKey("p", 80, "tcp"), 100, 0, 0) for i in range(ups)]
+    direct += [DirectDependency("p", ServiceKey(f"s{i}", 80, "tcp"), 100, 0, 0) for i in range(downs)]
+    by_channel = {d.channel(): int_series(rng.poisson(rng.uniform(0.5, 4.0), bins)) for d in direct}
+    return direct, by_channel
+
+
 class TestPivotMemo:
-    """``infer_indirect`` keeps window statistics per pivot; its scores must
-    be those of each pair scored alone."""
+    """``infer_indirect`` scores all pairs together, lag by lag and in
+    chunks of bounded size; its scores must be those of each pair scored
+    alone, and ``series_for`` is called once per channel."""
 
     @given(
         channels=pivot_channels,
         data=st.data(),
         max_lag=st.integers(min_value=0, max_value=45),
         min_activity=st.sampled_from([0, 10]),
+        chunk_elements=st.sampled_from([1, 50, discovery._CHUNK_ELEMENTS]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_scores_equal_per_pair_max_lag_ncc(self, channels, data, max_lag, min_activity):
+    def test_scores_equal_per_pair_max_lag_ncc(self, channels, data, max_lag, min_activity,
+                                               chunk_elements):
         direct, by_channel = [], {}
         for client, host, port in channels:
             counts = data.draw(pivot_counts)
             d = DirectDependency(client, ServiceKey(host, port, "tcp"), data.draw(st.integers(0, 20)), 0, 0)
             direct.append(d)
-            # Every int_series is labelled channel x: the memo must not key
+            # Every int_series is labelled channel x: the scorer must not key
             # on a series' label.
             by_channel[d.channel()] = int_series(counts)
 
@@ -489,17 +497,74 @@ class TestPivotMemo:
             return by_channel[channel]
 
         # A threshold of -1 emits every pair that scores, so a pair is
-        # missing exactly when it was skipped.
-        got = infer_indirect(direct, series_for, threshold=-1.0, max_lag=max_lag,
-                             min_activity=min_activity)
+        # missing exactly when it was skipped.  A small chunk budget splits
+        # even these pivots.
+        with mock.patch.object(discovery, "_CHUNK_ELEMENTS", chunk_elements):
+            got = infer_indirect(direct, series_for, threshold=-1.0, max_lag=max_lag,
+                                 min_activity=min_activity)
         want = sorted(
             ((up, down, best) for (up, down), best in
              pair_by_pair(direct, series_for, max_lag, min_activity).items() if best),
             key=lambda t: (t[0].service.host, t[0].label(), t[1].label()),
         )
-        assert [(i.upstream, i.downstream, i.lag_bins, repr(i.score)) for i in got] == [
-            (up, down, lag, repr(score)) for up, down, (lag, score) in want
+        assert emitted(got) == [(up, down, lag, repr(score)) for up, down, (lag, score) in want]
+
+    def test_pivot_split_into_chunks_matches_the_methods_loop(self, monkeypatch):
+        # 8 + 8 series of 20,000 bins do not fit one chunk; one upstream is
+        # shorter, so its pairs form a group of their own, and one is all
+        # zeros, so its pairs are skipped.
+        direct, by_channel = busy_pivot(8, 8, 20_000, seed=11)
+        ups = [d.channel() for d in direct[:8]]
+        by_channel[ups[0]] = int_series(by_channel[ups[0]].counts[:19_000])
+        by_channel[ups[1]] = int_series(np.zeros(20_000, dtype=np.int64))
+        chunks = []
+        score_chunk = discovery._score_chunk
+
+        def spy(pairs, ks, max_lag, best):
+            rows = len({id(pairs[k][0]) for k in ks}) + len({id(pairs[k][1]) for k in ks})
+            chunks.append((rows, len(ks)))
+            score_chunk(pairs, ks, max_lag, best)
+
+        monkeypatch.setattr(discovery, "_score_chunk", spy)
+        got = infer_indirect(direct, by_channel.__getitem__, threshold=-1.0, max_lag=8)
+        assert len(chunks) >= 4 and sum(n for _, n in chunks) == 64
+        assert all(rows * 20_000 <= discovery._CHUNK_ELEMENTS for rows, _ in chunks)
+        want = [
+            (up, down, *best)
+            for (up, down), best in pair_by_pair(direct, by_channel.__getitem__, 8, 0).items()
+            if best
         ]
+        assert len(want) == 56
+        want.sort(key=lambda t: (t[0].service.host, t[0].label(), t[1].label()))
+        assert emitted(got) == [(up, down, lag, repr(score)) for up, down, lag, score in want]
+
+    def test_memory_is_bounded_on_a_busy_pivot(self):
+        # 30 + 30 series of 20,000 bins: 9.6 MB as float, which a float copy
+        # of every series at the pivot would hold.
+        direct, by_channel = busy_pivot(30, 30, 20_000, seed=12)
+        tracemalloc.start()
+        try:
+            infer_indirect(direct, by_channel.__getitem__, max_lag=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * discovery._CHUNK_ELEMENTS
+
+    def test_series_for_is_called_once_per_channel(self):
+        # Every channel among three hosts: each is upstream of its service
+        # host's pivot and downstream of its client's.
+        hosts = "abc"
+        direct = [DirectDependency(c, ServiceKey(h, 80, "tcp"), 100, 0, 0)
+                  for c in hosts for h in hosts if c != h]
+        rng = np.random.default_rng(13)
+        calls = defaultdict(int)
+
+        def series_for(channel):
+            calls[channel] += 1
+            return int_series(rng.poisson(3.0, 200))
+
+        infer_indirect(direct, series_for)
+        assert dict(calls) == {d.channel(): 1 for d in direct}
 
 
 class TestRetryChains:
