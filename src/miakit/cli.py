@@ -49,8 +49,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
     indirect: list = []
     chains: list = []
     if records:
-        # The capture's index, built for direct_dependencies above, holds
-        # every timestamp as int64; the window bounds are Python ints.
+        # The capture's index, built by parse_flows, holds every timestamp
+        # as int64; the window bounds are Python ints.
         ts_us = flows.channel_index(records).ts_us
         t0 = int(ts_us.min())
         t1 = int(ts_us.max()) + 1

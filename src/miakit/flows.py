@@ -12,7 +12,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import count, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,14 +93,16 @@ class FlowLog(list):
     """The records of one capture, in file order: a plain ``list`` of
     :class:`FlowRecord`.
 
-    The first call that needs the capture's channel index (:func:`bin_activity`,
-    :func:`~miakit.discovery.direct_dependencies`,
-    :func:`~miakit.discovery.detect_retry_chains`) keeps it on the log with a
-    copy of the records it read.  Later calls reuse it while the log still
-    equals that copy: the same records, compared by value, in the same order.
-    Equal records build the same index, so the reuse is exact.  After an edit
-    that changes the records, through a list method or not (``heapq``,
-    ``list.append(log, r)``), the next call builds the index again.
+    :func:`parse_flows` stores the capture's :class:`ChannelIndex` on the log
+    with a copy of its records, so :func:`bin_activity`,
+    :func:`~miakit.discovery.direct_dependencies` and
+    :func:`~miakit.discovery.detect_retry_chains` read it without building
+    it.  A log built otherwise keeps the index of the first call that needs
+    one.  Calls reuse the index while the log still equals that copy: the
+    same records, compared by value, in the same order.  Equal records build
+    the same index, so the reuse is exact.  After an edit that changes the
+    records, through a list method or not (``heapq``, ``list.append(log,
+    r)``), the next call builds the index again.
     """
 
     # (list of the records indexed, their index)
@@ -111,6 +114,8 @@ _NO_TS = np.empty(0, dtype=np.int64)
 
 
 def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
+    # Every rule bounds one field on its own, so a block of lines passes when
+    # rows made of its columns' minima and maxima pass (see _block_columns).
     if len(fields) != 8:
         raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
     try:
@@ -136,6 +141,71 @@ def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
     return FlowRecord(ts_us, fields[1], src_port, fields[3], dst_port, proto, nbytes, packets)
 
 
+# Lines that parse_flows checks and converts together.
+_BLOCK_LINES = 1024
+# Characters that only csv.reader may interpret: quotes and carriage returns,
+# and NUL, which the reader refuses before Python 3.11.
+_CSV_ONLY = ('"', "\r", "\0")
+# The positions of the integer fields in a line.
+_INT_FIELDS = (0, 2, 4, 6, 7)
+
+
+def _check_header(line: str) -> None:
+    if line != FLOW_HEADER:
+        raise MalformedLine(1, f"header must be exactly {FLOW_HEADER!r}")
+
+
+def _check_rows(
+    rows: Iterator[list[str]], line_no: int, strict: bool, malformed: list | None
+) -> list:
+    """The records of the csv ``rows``, the first of them line ``line_no``,
+    by the line rules: in strict mode the first bad line raises
+    :class:`MalformedLine`; otherwise it is skipped and (line_no, reason)
+    is appended to ``malformed`` when a list is given.  A blank line is
+    skipped."""
+    records = []
+    while True:
+        try:
+            try:
+                fields = next(rows)
+            except StopIteration:
+                return records
+            except csv.Error as exc:  # a field past csv.field_size_limit(); the reader goes on
+                raise MalformedLine(line_no, str(exc)) from None
+            if fields:
+                records.append(_check_fields(fields, line_no))
+        except MalformedLine as exc:
+            if strict:
+                raise
+            if malformed is not None:
+                malformed.append((exc.line_no, exc.reason))
+        line_no += 1
+
+
+def _block_columns(lines: list[str], limit: int) -> list | None:
+    """The eight columns of ``lines`` when no line is longer than ``limit``
+    and every line has exactly eight fields that pass the line rules; None
+    otherwise."""
+    if max(map(len, lines)) > limit:
+        return None
+    # Each line boundary becomes a field "\n" of its own, which must fall
+    # after every eighth field.
+    fields = ",\n,".join(lines).split(",")
+    if len(fields) != 9 * len(lines) - 1 or fields[8::9].count("\n") != len(lines) - 1:
+        return None
+    columns = [fields[k::9] for k in range(8)]
+    try:
+        for k in _INT_FIELDS:
+            columns[k] = list(map(int, columns[k]))
+        extremes = [[pick(columns[k]) for k in _INT_FIELDS] for pick in (min, max)]
+        for proto in set(columns[5]):
+            for ts_us, src_port, dst_port, nbytes, packets in extremes:
+                _check_fields((ts_us, "", src_port, "", dst_port, proto, nbytes, packets), 0)
+    except (ValueError, MalformedLine):
+        return None
+    return columns
+
+
 def parse_flows(
     source,
     strict: bool = True,
@@ -145,28 +215,58 @@ def parse_flows(
 
     Strict mode raises :class:`MalformedLine` on the first bad line; lenient
     mode skips bad lines, tallying (line_no, reason) into ``malformed`` when
-    a list is supplied.
-    """
-    if isinstance(source, str) and "\n" not in source:
-        source = read_text(source)
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    a list is supplied.  A field longer than :func:`csv.field_size_limit` is
+    a bad line.
 
-    reader = csv.reader(source)
+    The text is read in blocks of ``_BLOCK_LINES`` lines.  A block whose
+    lines all have eight fields is split and converted column by column, and
+    its columns' extremes are checked; any other block, or one that fails a
+    check, is read line by line with :func:`csv.reader`.  A text holding a
+    quote, a carriage return or a NUL is read line by line throughout.
+    Equal host and protocol strings are held once.  The log is returned
+    with the capture's :class:`ChannelIndex`, built from the columns.
+    """
+    if isinstance(source, str):
+        text = source if "\n" in source else read_text(source)
+    else:
+        text = source.read()
+
     records = FlowLog()
-    header = next(reader, None)
-    if header is None or ",".join(header) != FLOW_HEADER:
-        raise MalformedLine(1, f"header must be exactly {FLOW_HEADER!r}")
-    for line_no, fields in enumerate(reader, start=2):
-        if not fields:
-            continue
+    columns: list[list] = [[] for _ in range(6)]
+    strings: dict[str, str] = {}
+
+    def keep(parsed: Sequence) -> None:
+        ts_us, src, src_port, dst, dst_port, proto, nbytes, packets = parsed
+        src, dst, proto = (list(map(strings.setdefault, c, c)) for c in (src, dst, proto))
+        rows = zip(ts_us, src, src_port, dst, dst_port, proto, nbytes, packets)
+        records.extend(map(tuple.__new__, repeat(FlowRecord), rows))
+        for column, values in zip(columns, (ts_us, src, src_port, dst, dst_port, proto)):
+            column.extend(values)
+
+    def transposed(rows: list) -> Sequence:
+        return list(zip(*rows)) or [()] * 8
+
+    if any(c in text for c in _CSV_ONLY):
+        reader = csv.reader(io.StringIO(text))
         try:
-            records.append(_check_fields(fields, line_no))
-        except MalformedLine as exc:
-            if strict:
-                raise
-            if malformed is not None:
-                malformed.append((exc.line_no, exc.reason))
+            header = next(reader, [])
+        except csv.Error:
+            header = []
+        _check_header(",".join(header))
+        keep(transposed(_check_rows(reader, 2, strict, malformed)))
+    else:
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        _check_header(lines[0] if lines else "")
+        limit = csv.field_size_limit()
+        for start in range(1, len(lines), _BLOCK_LINES):
+            block = lines[start : start + _BLOCK_LINES]
+            parsed = _block_columns(block, limit)
+            if parsed is None:
+                parsed = transposed(_check_rows(csv.reader(block), start + 1, strict, malformed))
+            keep(parsed)
+    records._indexed = (list(records), ChannelIndex.of_columns(*columns))
     return records
 
 
@@ -187,19 +287,11 @@ def service_side(record: FlowRecord) -> tuple[str, ServiceKey, bool]:
     wins ties.  A flow whose ports are both above the registered range is
     flagged ambiguous.
     """
-    client, host, port = _service_endpoint(record)
-    ambiguous = min(record.src_port, record.dst_port) > REGISTERED_PORT_LIMIT
-    return client, ServiceKey(host, port, record.proto), ambiguous
-
-
-def _service_endpoint(record: FlowRecord) -> tuple[str, str, int]:
-    """:func:`service_side` as plain values: (client_host, service_host,
-    service_port)."""
-    # Unpacking reads a named tuple's fields faster than attribute access.
-    _, src_host, src_port, dst_host, dst_port, _, _, _ = record
+    _, src_host, src_port, dst_host, dst_port, proto, _, _ = record
+    ambiguous = min(src_port, dst_port) > REGISTERED_PORT_LIMIT
     if dst_port <= src_port:
-        return src_host, dst_host, dst_port
-    return dst_host, src_host, src_port
+        return src_host, ServiceKey(dst_host, dst_port, proto), ambiguous
+    return dst_host, ServiceKey(src_host, src_port, proto), ambiguous
 
 
 def identify_services(records: Iterable[FlowRecord]) -> set[ServiceKey]:
@@ -213,7 +305,7 @@ def channel_of(record: FlowRecord) -> Channel:
 
 
 class ChannelIndex:
-    """Every record of a capture by channel, built in one pass.
+    """Every record of a capture by channel.
 
     ``channels`` holds one :class:`Channel` per row, numbered in order of
     first appearance; ``row`` and ``ts_us`` give each record's row and
@@ -221,22 +313,48 @@ class ChannelIndex:
     by row, ascending within a row: row ``k`` owns
     ``ts_by_row[bounds[k]:bounds[k + 1]]``.  Nothing here depends on a bin
     width or window.
+
+    ``ChannelIndex(records)`` indexes any iterable of records;
+    :meth:`of_columns` builds the same index from the records' columns, as
+    :func:`parse_flows` does.
     """
 
     def __init__(self, records: Iterable[FlowRecord]):
+        columns = list(zip(*records)) or [()] * 8
+        self._build(*columns[:6])
+
+    @classmethod
+    def of_columns(cls, ts_us, src_host, src_port, dst_host, dst_port, proto) -> ChannelIndex:
+        """The index of the records whose fields are these columns."""
+        index = cls.__new__(cls)
+        index._build(ts_us, src_host, src_port, dst_host, dst_port, proto)
+        return index
+
+    def _build(self, ts_us, src_host, src_port, dst_host, dst_port, proto) -> None:
+        # The service side is the endpoint with the lower port; the
+        # destination wins ties (service_side, column by column).
+        src_port = np.array(src_port, dtype=np.int64)
+        dst_port = np.array(dst_port, dtype=np.int64)
+        served = dst_port <= src_port
+        src_host = np.array(src_host, dtype=object)
+        dst_host = np.array(dst_host, dtype=object)
+        keys = zip(
+            np.where(served, src_host, dst_host).tolist(),
+            np.where(served, dst_host, src_host).tolist(),
+            np.where(served, dst_port, src_port).tolist(),
+            proto,
+        )
+        # Each record's key maps to the position of the key's first record,
+        # so numbering the distinct positions in order numbers the rows in
+        # order of first appearance.
         rows: dict[tuple[str, str, int, str], int] = {}
-        row: list[int] = []
-        ts: list[int] = []
-        for r in records:
-            client, host, port = _service_endpoint(r)
-            row.append(rows.setdefault((client, host, port, r.proto), len(rows)))
-            ts.append(r.ts_us)
+        first = np.fromiter(map(rows.setdefault, keys, count()), dtype=np.intp, count=len(ts_us))
         self.channels = [
             Channel(client, ServiceKey(host, port, proto)) for client, host, port, proto in rows
         ]
         self.row_of = {ch: k for k, ch in enumerate(self.channels)}
-        self.row = np.array(row, dtype=np.intp)
-        self.ts_us = np.array(ts, dtype=np.int64)
+        self.row = np.unique(first, return_inverse=True)[1]
+        self.ts_us = np.array(ts_us, dtype=np.int64)
         self.ts_by_row = self.ts_us[np.lexsort((self.ts_us, self.row))]
         self.bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(self.row, minlength=len(rows))))

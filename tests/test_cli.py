@@ -1217,6 +1217,26 @@ class TestInputErrors:
             params = yaml.safe_load(out.read_text())["parameters"]
             assert (params["records"], params["malformed_skipped"]) == (1, 1)
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_field_past_the_csv_size_limit(self, tmp_path, capsys, strict, quoted):
+        # A quote elsewhere in the file sends it through csv.reader whole.
+        client = '"c"' if quoted else "c"
+        path = tmp_path / "big.csv"
+        path.write_text(FLOW_HEADER + "\n1,c,51514,s,443,tcp,10,1\n"
+                        f"2,{'h' * 131_073},51514,s,443,tcp,10,1\n"
+                        f"3,{client},51515,s,443,tcp,10,1\n")
+        out = tmp_path / "o.yaml"
+        argv = ["discover", "--flows", str(path), "--out", str(out)]
+        if strict:
+            assert one_error_line(capsys, argv + ["--strict"]) == [
+                "error: line 3: field larger than field limit (131072)"
+            ]
+        else:
+            assert main(argv) == 0
+            params = yaml.safe_load(out.read_text())["parameters"]
+            assert (params["records"], params["malformed_skipped"]) == (2, 1)
+
     # Each width makes numpy refuse the series differently: too large for the
     # address space (MemoryError), over its size limit (ValueError), past
     # int64 (OverflowError).  The default 1 s width needs 67 TiB, which a host

@@ -1,15 +1,22 @@
+import csv
 import heapq
+import io
+import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miakit import flows
+from miakit.discovery import detect_retry_chains, direct_dependencies
 from miakit.flows import (
     FLOW_HEADER,
     REGISTERED_PORT_LIMIT,
     Channel,
+    ChannelIndex,
     EmptyWindow,
     FlowLog,
     FlowRecord,
@@ -403,3 +410,264 @@ class TestChannelIndex:
         first.counts[:] = 99
         again = bin_activity(log, ch, 1.0, (0, 2_000_000))
         assert list(again.counts) == [2, 1]
+
+
+def oracle_check_fields(fields, line_no):
+    """Reference: the line rules as parse_flows applied them line by line."""
+    if len(fields) != 8:
+        raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
+    try:
+        ts_us = int(fields[0])
+        src_port = int(fields[2])
+        dst_port = int(fields[4])
+        nbytes = int(fields[6])
+        packets = int(fields[7])
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from None
+    if not 0 <= ts_us <= 2**63 - 1:
+        raise MalformedLine(line_no, f"ts_us {ts_us} out of range [0, {2**63 - 1}]")
+    proto = fields[5]
+    if proto not in ("tcp", "udp"):
+        raise MalformedLine(line_no, f"proto must be tcp or udp, got {proto!r}")
+    for name, port in (("src_port", src_port), ("dst_port", dst_port)):
+        if not (0 <= port <= 65535):
+            raise MalformedLine(line_no, f"{name} {port} out of range")
+    if nbytes < 0:
+        raise MalformedLine(line_no, f"bytes {nbytes} negative")
+    if packets < 1:
+        raise MalformedLine(line_no, f"packets {packets} must be >= 1")
+    return FlowRecord(ts_us, fields[1], src_port, fields[3], dst_port, proto, nbytes, packets)
+
+
+def oracle_parse(text, strict=True, malformed=None):
+    """Reference: parse_flows as one csv.reader loop over the whole text, a
+    record per row, but with a csv.Error (a field past the size limit) a bad
+    line at its row, after which the reader goes on."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+    except csv.Error:
+        header = None
+    if header is None or ",".join(header) != FLOW_HEADER:
+        raise MalformedLine(1, f"header must be exactly {FLOW_HEADER!r}")
+    records = []
+    for line_no in itertools.count(2):
+        try:
+            try:
+                fields = next(reader)
+            except StopIteration:
+                return records
+            except csv.Error as exc:
+                raise MalformedLine(line_no, str(exc)) from None
+            if fields:
+                records.append(oracle_check_fields(fields, line_no))
+        except MalformedLine as exc:
+            if strict:
+                raise
+            if malformed is not None:
+                malformed.append((exc.line_no, exc.reason))
+
+
+def index_oracle(records):
+    """Reference: the per-record loop that built a ChannelIndex, as
+    (channels, row, ts_us, ts_by_row, bounds)."""
+    rows = {}
+    row = []
+    ts = []
+    for r in records:
+        client, service, _ = service_side(r)
+        row.append(rows.setdefault((client, service.host, service.port, service.proto), len(rows)))
+        ts.append(r.ts_us)
+    row = np.array(row, dtype=np.intp)
+    ts = np.array(ts, dtype=np.int64)
+    channels = [Channel(c, ServiceKey(h, p, q)) for c, h, p, q in rows]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(rows)))))
+    return channels, row, ts, ts[np.lexsort((ts, row))], bounds
+
+
+def assert_index_matches_oracle(index, records):
+    channels, row, ts, ts_by_row, bounds = index_oracle(records)
+    assert index.channels == channels
+    assert index.row_of == {ch: k for k, ch in enumerate(channels)}
+    for got, want in ((index.row, row), (index.ts_us, ts), (index.ts_by_row, ts_by_row),
+                      (index.bounds, bounds)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# csv.field_size_limit() while TestBlockParsing runs, so that short fields
+# and lines pass it.
+SMALL_FIELD_LIMIT = 40
+
+
+def line_of(fields):
+    return ",".join(str(f) for f in fields)
+
+
+def valid_fields(draw):
+    return [
+        draw(st.integers(0, 2**63 - 1) | st.integers(0, 10**7)),
+        draw(st.sampled_from(["10.0.0.1", "10.0.0.2", "gw", "db-1"])),
+        draw(port),
+        draw(st.sampled_from(["10.0.0.1", "10.0.0.2", "gw", "db-1"])),
+        draw(port),
+        draw(st.sampled_from(["tcp", "udp"])),
+        draw(st.integers(0, 10**20)),
+        draw(st.integers(1, 10**9)),
+    ]
+
+
+# (field position, value) edits that make a valid line bad, or valid in a
+# way that int() alone decides.
+FIELD_EDITS = [
+    (0, "x"), (0, ""), (0, " 12"), (0, "12 "), (2, "+5"), (4, "1_000"), (6, "١٢"),
+    (7, "²"), (0, "-1"), (0, str(2**63)), (0, str(2**63 - 1)), (2, "-1"), (4, "65536"),
+    (2, "65535"), (6, "-3"), (7, "0"), (5, "icmp"), (5, "TCP"), (5, ""), (1, ""),
+    (1, "h" * (SMALL_FIELD_LIMIT + 1)), (3, "h" * SMALL_FIELD_LIMIT), (1, "a\0b"),
+]
+
+
+@st.composite
+def flow_line(draw):
+    kind = draw(st.sampled_from(["valid"] * 10 + ["edit"] * 3 + ["count", "blank", "quote", "cr"]))
+    fields = valid_fields(draw)
+    if kind == "edit":
+        k, value = draw(st.sampled_from(FIELD_EDITS))
+        fields[k] = value
+    elif kind == "count":
+        fields = fields[: draw(st.sampled_from([1, 7]))] if draw(st.booleans()) else fields + ["9"]
+    elif kind == "blank":
+        return ""
+    elif kind == "quote":
+        k = draw(st.sampled_from([1, 3, 5]))
+        fields[k] = draw(st.sampled_from([f'"{fields[k]}"', '"a,b"', '"x\ny"', '"open']))
+    elif kind == "cr":
+        return line_of(fields) + "\r"
+    return line_of(fields)
+
+
+@st.composite
+def flow_text(draw):
+    header = draw(st.sampled_from([FLOW_HEADER] * 8 + [
+        "", "ts,src", FLOW_HEADER + ",x", FLOW_HEADER + "\r", '"ts_us"' + FLOW_HEADER[5:],
+        "h" * (SMALL_FIELD_LIMIT + 1),
+    ]))
+    lines = [header] + draw(st.lists(flow_line(), max_size=12))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text if "\n" in text else text + "\n"  # a string with no newline is a path
+
+
+def parse_outcome(parse, text, strict):
+    """(records, malformed) or the (line_no, reason) of the error raised."""
+    malformed = []
+    try:
+        records = parse(text, strict=strict, malformed=malformed)
+    except MalformedLine as exc:
+        return ("error", exc.line_no, exc.reason)
+    return records, malformed
+
+
+class TestBlockParsing:
+    """parse_flows against the per-line csv.reader loop, whatever the block
+    length, and its index against the per-record index loop."""
+
+    @pytest.fixture(autouse=True)
+    def small_field_limit(self):
+        saved = csv.field_size_limit(SMALL_FIELD_LIMIT)
+        yield
+        csv.field_size_limit(saved)
+
+    def check(self, text, strict):
+        got = parse_outcome(parse_flows, text, strict)
+        want = parse_outcome(oracle_parse, text, strict)
+        assert got == want
+        assert parse_outcome(lambda t, **kw: parse_flows(io.StringIO(t), **kw), text, strict) == got
+        if want[0] == "error":
+            return
+        records = got[0]
+        assert [type(r) for r in records] == [FlowRecord] * len(records)
+        assert [list(map(type, r)) for r in records] == [list(map(type, r)) for r in want[0]]
+        assert_index_matches_oracle(records._indexed[1], want[0])
+        assert list.__eq__(records, records._indexed[0])
+        held = {}
+        for r in records:
+            for s in (r.src_host, r.dst_host, r.proto):
+                assert held.setdefault(s, s) is s
+
+    @given(text=flow_text(), strict=st.booleans(),
+           block=st.sampled_from([1, 3, flows._BLOCK_LINES]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_loop(self, text, strict, block):
+        with mock.patch.object(flows, "_BLOCK_LINES", block):
+            self.check(text, strict)
+
+    # The edited line is the first, either side of the first block boundary,
+    # inside the second block or the last.
+    @pytest.mark.parametrize("edit,at", list(zip(FIELD_EDITS + [(None, "")],
+                                                 itertools.cycle((0, 1_023, 1_024, 1_500, 2_599)))))
+    def test_one_edit_in_a_capture_of_default_blocks(self, edit, at):
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(2_600)]
+        field, value = edit
+        if field is None:
+            lines[at] = value
+        else:
+            fields = lines[at].split(",")
+            fields[field] = value
+            lines[at] = line_of(fields)
+        for strict in (True, False):
+            self.check("\n".join([FLOW_HEADER] + lines) + "\n", strict)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_lines_whose_field_counts_cancel_out(self, strict):
+        # Ten fields and six: sixteen in all, and every column would convert.
+        text = FLOW_HEADER + "\n1,a,51514,b,443,tcp,10,1,x,5\n80,s,443,tcp,10,1\n"
+        self.check(text, strict)
+
+    def test_a_field_past_the_limit_is_a_bad_line(self):
+        text = FLOW_HEADER + f"\n1,{'h' * 41},2,b,443,tcp,10,1\n2,a,51514,b,443,tcp,10,1\n"
+        skipped = []
+        assert len(parse_flows(text, strict=False, malformed=skipped)) == 1
+        assert skipped == [(2, "field larger than field limit (40)")]
+        with pytest.raises(MalformedLine) as err:
+            parse_flows(text)
+        assert (err.value.line_no, err.value.reason) == (2, "field larger than field limit (40)")
+
+
+class TestIndexBuiltAtParse:
+    TOPOLOGY = {
+        "duration_s": 120,
+        "channels": [
+            {"client": f"ws-{k}", "service": f"app-{k % 3}:{8080 + k % 2}/tcp", "rate_per_s": 0.5}
+            for k in range(8)
+        ],
+    }
+
+    def text(self):
+        return serialize_flows(gen_flows(self.TOPOLOGY, seed=5)[0])
+
+    def test_a_discover_pass_builds_the_index_once(self):
+        build = ChannelIndex._build
+        with mock.patch.object(ChannelIndex, "_build", autospec=True, side_effect=build) as spy:
+            log = parse_flows(self.text())
+            direct = direct_dependencies(log)
+            window = (min(r.ts_us for r in log), max(r.ts_us for r in log) + 1)
+            for k in range(70):
+                d = direct[k % len(direct)]
+                bin_activity(log, Channel(d.client, d.service), 1.0, window)
+            detect_retry_chains(log)
+        assert spy.call_count == 1
+        assert len(direct) == 8
+
+    def test_a_log_edited_after_parsing_builds_its_index_again(self):
+        log = parse_flows(self.text())
+        parsed = log._indexed[1]
+        assert channel_index(log) is parsed
+        log.append(log[0]._replace(src_host="ws-new", ts_us=log[-1].ts_us))
+        rebuilt = channel_index(log)
+        assert rebuilt is not parsed
+        assert_index_matches_oracle(rebuilt, log)
+
+    @given(records=st.lists(flow_record, max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_any_iterable_of_records_matches_the_record_loop(self, records):
+        for source in (records, FlowLog(records), (r for r in records)):
+            assert_index_matches_oracle(ChannelIndex(source), records)
