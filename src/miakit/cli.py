@@ -166,7 +166,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # propagate
 
 
-def _load_bindings(path: str) -> dict:
+def _load_bindings(path: str) -> tuple[dict, dict]:
+    """The task bindings of a mission or scenario file, and for each task
+    key the field its ``requires`` list was read from."""
     doc = read_yaml(path)
     tasks = None
     where = "tasks"
@@ -179,13 +181,15 @@ def _load_bindings(path: str) -> dict:
     tasks = _list(tasks, where)
     if not tasks:
         raise ValidationError("mission", f"{path} has no task list")
-    bindings = {}
+    bindings, fields = {}, {}
     for i, t in enumerate(tasks):
         if not isinstance(t, dict) or "id" not in t:
             raise ValidationError(f"{where}[{i}].id", "missing required field")
-        requires = _list(t.get("requires"), f"{where}[{i}].requires")
+        field = f"{where}[{i}].requires"
+        requires = _list(t.get("requires"), field)
         bindings[str(t["id"])] = [str(a) for a in requires]
-    return bindings
+        fields[str(t["id"])] = field
+    return bindings, fields
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -195,7 +199,16 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     nested = doc and "infrastructure" in doc
     graph = InfrastructureGraph(infrastructure_of(doc) if nested else build_topology(doc or {}))
     compromised = [c for c in (args.compromised or "").split(",") if c]
-    bindings = _load_bindings(args.mission)
+    bindings, fields = _load_bindings(args.mission)
+    # Checked in the query's own order, so the asset reported is the one the
+    # query would refuse, now with the field that gave it.
+    for a in sorted(set(compromised)):
+        if a not in graph.assets:
+            raise ValidationError("compromised", f"unknown asset {a!r}")
+    for task_id, required in bindings.items():
+        for j, a in enumerate(required):
+            if a not in graph.assets:
+                raise ValidationError(f"{fields[task_id]}[{j}]", f"unknown asset {a!r}")
     report = propagate_static_impact(graph, compromised, bindings)
     doc = {
         "schema_version": 1,

@@ -17,7 +17,7 @@ import heapq
 import math
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .fields import MiakitError, ValidationError, _list, _require
 
@@ -484,6 +484,24 @@ def set_state(
 # Analyses
 
 
+def _reverse_walk(graph: InfrastructureGraph, seeds: list[str]) -> dict[str, str | None]:
+    """Breadth-first over reverse dependency edges from ``seeds`` (validated
+    by the caller): every asset reached, mapped to the asset it was first
+    reached from (``None`` for a seed).  Following the parents from an asset
+    gives a dependency chain down to a seed."""
+    parent: dict[str, str | None] = dict.fromkeys(seeds)
+    frontier = list(parent)
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge in graph._in[node]:
+                if edge.from_id not in parent:
+                    parent[edge.from_id] = node
+                    nxt.append(edge.from_id)
+        frontier = nxt
+    return parent
+
+
 def reachable_dependents(graph: InfrastructureGraph, asset_set: Iterable[str]) -> set[str]:
     """Everything that transitively depends on ``asset_set``, the set included.
 
@@ -492,21 +510,13 @@ def reachable_dependents(graph: InfrastructureGraph, asset_set: Iterable[str]) -
     seeds = list(asset_set)
     for a in seeds:
         graph.require(a)
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for edge in graph._in[node]:
-                if edge.from_id not in seen:
-                    seen.add(edge.from_id)
-                    nxt.append(edge.from_id)
-        frontier = nxt
-    return seen
+    return set(_reverse_walk(graph, seeds))
 
 
-@dataclass(frozen=True)
-class TaskImpact:
+class TaskImpact(NamedTuple):
+    """One task's verdict: a named tuple, so it compares equal to the plain
+    tuple ``(task_id, impacted, witness)``."""
+
     task_id: str
     impacted: bool
     witness: tuple[str, ...] = ()
@@ -536,40 +546,40 @@ def propagate_static_impact(
 ) -> StaticImpactReport:
     """Mark each task impacted iff a required asset transitively depends on
     a compromised asset.  Time-free over-approximation of simulated impact.
+
+    Each task's verdict is a :class:`TaskImpact` named tuple keyed by
+    ``str(task_id)``; an impacted task's witness runs from the least
+    reached required asset along dependency edges to a compromised one.
+    A query costs one reverse walk from the compromised set plus one step
+    per bound asset: each task's assets are read once, and an asset the
+    walk did not reach is checked against the graph, so the first unknown
+    asset (in task order, then list order) raises :class:`UnknownAsset`.
     """
     seeds = sorted(set(compromised))
     for a in seeds:
         graph.require(a)
-
-    # Parent pointers from a reverse BFS give the witness chain:
-    # asset -> ... -> compromised, following dependency direction.
-    parent: dict[str, str | None] = {s: None for s in seeds}
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for edge in graph._in[node]:
-                if edge.from_id not in parent:
-                    parent[edge.from_id] = node
-                    nxt.append(edge.from_id)
-        frontier = nxt
+    parent = _reverse_walk(graph, seeds)
+    assets = graph.assets
+    # A verdict built straight from its three fields, skipping the
+    # generated __new__ and its default handling.
+    verdict = tuple.__new__
 
     tasks: dict[str, TaskImpact] = {}
     for task_id in mission_bindings:
-        required = list(mission_bindings[task_id])
-        for a in required:
-            graph.require(a)
-        witness: tuple[str, ...] = ()
-        impacted = False
-        for a in sorted(required):
+        hits = []
+        for a in mission_bindings[task_id]:
             if a in parent:
-                impacted = True
-                chain = [a]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])  # type: ignore[arg-type]
-                witness = tuple(chain)
-                break
-        tasks[str(task_id)] = TaskImpact(str(task_id), impacted, witness)
+                hits.append(a)
+            elif a not in assets:
+                graph.require(a)
+        key = str(task_id)
+        if hits:
+            chain = [min(hits)]
+            while (up := parent[chain[-1]]) is not None:
+                chain.append(up)
+            tasks[key] = verdict(TaskImpact, (key, True, tuple(chain)))
+        else:
+            tasks[key] = verdict(TaskImpact, (key, False, ()))
     return StaticImpactReport(tuple(seeds), tasks)
 
 

@@ -778,6 +778,40 @@ class TestCliPropagateAndReport:
             "error: tasks[0].requires: must be a list"
         ]
 
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_propagate_unknown_required_asset_names_the_field(self, tmp_path, capsys, nested):
+        tasks = [{"id": "t1", "requires": ["plandb"]}, {"id": "t2", "requires": ["plandb", "nosuch"]}]
+        doc = {"mission": {"tasks": tasks}} if nested else {"tasks": tasks}
+        mpath = tmp_path / "mission.yaml"
+        mpath.write_text(yaml.safe_dump(doc))
+        rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                   "--compromised", "plandb", "--mission", str(mpath)])
+        assert rc == 1
+        where = "mission.tasks" if nested else "tasks"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {where}[1].requires[1]: unknown asset 'nosuch'"
+        ]
+
+    def test_propagate_names_the_task_whose_binding_the_query_reads(self, tmp_path, capsys):
+        # A repeated id binds the later task's list, so that is the one checked.
+        tasks = [{"id": "t1", "requires": ["ghost"]}, {"id": "t1", "requires": ["nosuch"]}]
+        mpath = tmp_path / "mission.yaml"
+        mpath.write_text(yaml.safe_dump({"tasks": tasks}))
+        rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                   "--compromised", "plandb", "--mission", str(mpath)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tasks[1].requires[0]: unknown asset 'nosuch'"
+        ]
+
+    def test_propagate_unknown_compromised_asset_names_the_field(self, capsys):
+        rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                   "--compromised", "nosuch,plandb", "--mission", bundled_path("checkpoint.yaml")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: compromised: unknown asset 'nosuch'"
+        ]
+
     def test_propagate_root_asset_impacts_every_task(self, tmp_path):
         graph_doc = {
             "assets": [{"id": a, "kind": "device"} for a in ("core", "db", "app", "gui")],

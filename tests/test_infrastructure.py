@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miakit.infrastructure import (
@@ -488,6 +488,123 @@ class TestGraphDocument:
         assert list(again.assets.values()) == list(topology.assets.values())
         assert again.edges == topology.edges
         assert again.vulnerabilities == topology.vulnerabilities
+
+
+# ---------------------------------------------------------------------------
+# Static impact against the task loop it replaced
+
+
+def reference_static_impact(graph, compromised, mission_bindings):
+    """The earlier body of ``propagate_static_impact``: every task's assets
+    validated, then sorted, and the witness built from the first reached.
+    Returns (compromised, {task key: (task_id, impacted, witness)})."""
+    seeds = sorted(set(compromised))
+    for a in seeds:
+        graph.require(a)
+
+    parent = {s: None for s in seeds}
+    frontier = list(seeds)
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge in graph._in[node]:
+                if edge.from_id not in parent:
+                    parent[edge.from_id] = node
+                    nxt.append(edge.from_id)
+        frontier = nxt
+
+    tasks = {}
+    for task_id in mission_bindings:
+        required = list(mission_bindings[task_id])
+        for a in required:
+            graph.require(a)
+        witness = ()
+        impacted = False
+        for a in sorted(required):
+            if a in parent:
+                impacted = True
+                chain = [a]
+                while parent[chain[-1]] is not None:
+                    chain.append(parent[chain[-1]])
+                witness = tuple(chain)
+                break
+        tasks[str(task_id)] = (str(task_id), impacted, witness)
+    return tuple(seeds), tasks
+
+
+# Task ids: 1 and "1" (and 2 and "2") are one key once made strings.
+TASK_IDS = st.sampled_from(["plan", "ship", "1", 1, "2", 2])
+UNKNOWN_ASSETS = st.sampled_from(["nosuch", "n99", 7])
+
+
+@st.composite
+def impact_queries(draw):
+    """A graph document, a compromised set (possibly empty), and 0-8 task
+    bindings, each 0-4 assets drawn with repeats, held in a list, a tuple or
+    a generator; optionally one unknown asset at a random place among them."""
+    spec = draw(graph_documents())
+    ids = [a["id"] for a in spec["assets"]]
+    # Compromise what others rely on and bind what relies on others more
+    # often than not, so that long witnesses and diamonds come up.
+    relied_on = sorted({e["to"] for e in spec["edges"]}) or ids
+    reliant = sorted({e["from"] for e in spec["edges"]}) or ids
+    compromised = draw(st.lists(st.sampled_from(ids) | st.sampled_from(relied_on), max_size=3))
+    required = st.lists(st.sampled_from(ids) | st.sampled_from(reliant), max_size=4)
+    tasks = draw(st.lists(st.tuples(TASK_IDS, required, st.sampled_from([list, tuple, iter])),
+                          max_size=8))
+    if tasks and draw(st.booleans()):
+        k = draw(st.integers(0, len(tasks) - 1))
+        task_id, required, shape = tasks[k]
+        required = list(required)
+        required.insert(draw(st.integers(0, len(required))), draw(UNKNOWN_ASSETS))
+        tasks[k] = (task_id, required, shape)
+    return spec, compromised, tasks
+
+
+def bindings_of(tasks):
+    """Fresh bindings for one call: a generator is read only once."""
+    return {task_id: shape(required) for task_id, required, shape in tasks}
+
+
+def outcome(query, *args):
+    try:
+        return query(*args)
+    except UnknownAsset as exc:
+        return type(exc), str(exc)
+
+
+# d reaches a through b and through c: the walk keeps the parent it finds first.
+DIAMOND = {
+    "assets": [{"id": x, "kind": "device"} for x in "abcd"],
+    "edges": [{"from": "d", "to": "b"}, {"from": "d", "to": "c"},
+              {"from": "b", "to": "a"}, {"from": "c", "to": "a"}],
+}
+
+
+class TestStaticImpactOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(impact_queries())
+    @example((DIAMOND, ["a"], [("t", ["d"], list), ("u", ["c", "b"], iter), (1, [], tuple)]))
+    @example((DIAMOND, ["b"], [("t", ["a"], tuple), ("u", ["b", "nosuch"], list)]))
+    def test_matches_the_earlier_task_loop(self, case):
+        spec, compromised, tasks = case
+        g = build_graph(spec)
+        want = outcome(reference_static_impact, g, compromised, bindings_of(tasks))
+        got = outcome(propagate_static_impact, g, compromised, bindings_of(tasks))
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        want_compromised, want_tasks = want
+        assert got.compromised == want_compromised
+        assert list(got.tasks) == list(want_tasks)
+        for key, (task_id, impacted, witness) in want_tasks.items():
+            verdict = got.tasks[key]
+            assert (verdict.task_id, verdict.impacted, verdict.witness) == (task_id, impacted, witness)
+
+    def test_verdict_is_a_named_tuple_with_the_same_repr(self):
+        report = propagate_static_impact(chain_graph(), {"c"}, {"t": ["a"], "u": []})
+        assert report.status("t") == ("t", True, ("a", "b", "c"))
+        assert repr(report.status("u")) == "TaskImpact(task_id='u', impacted=False, witness=())"
 
 
 class TestScenarioOverlays:
