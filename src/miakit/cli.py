@@ -16,7 +16,7 @@ import sys
 
 import yaml
 
-from . import discovery, flows, metrics, synth
+from . import discovery, flows, infrastructure, metrics, synth
 from .fields import MiakitError, ValidationError, _list, read_text
 from .infrastructure import InfrastructureGraph, build_topology, graph_doc, propagate_static_impact
 from .kernel import run_replications
@@ -49,9 +49,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
     indirect: list = []
     chains: list = []
     if records:
-        # The capture's index, built by parse_flows, holds every timestamp
-        # as int64; the window bounds are Python ints.
-        ts_us = flows.channel_index(records).ts_us
+        # The capture's index holds every timestamp as int64; the window
+        # bounds are Python ints.
+        ts_us = records.by_channel.ts_us
         t0 = int(ts_us.min())
         t1 = int(ts_us.max()) + 1
         cache: dict = {}
@@ -185,10 +185,13 @@ def _load_bindings(path: str) -> tuple[dict, dict]:
     for i, t in enumerate(tasks):
         if not isinstance(t, dict) or "id" not in t:
             raise ValidationError(f"{where}[{i}].id", "missing required field")
+        task_id = str(t["id"])
+        if task_id in bindings:
+            raise infrastructure.DuplicateId(f"{where}[{i}].id", f"duplicate task id {task_id!r}")
         field = f"{where}[{i}].requires"
         requires = _list(t.get("requires"), field)
-        bindings[str(t["id"])] = [str(a) for a in requires]
-        fields[str(t["id"])] = field
+        bindings[task_id] = [str(a) for a in requires]
+        fields[task_id] = field
     return bindings, fields
 
 

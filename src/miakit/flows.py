@@ -89,24 +89,22 @@ class ChannelSeries:
     counts: np.ndarray
 
 
-class FlowLog(list):
-    """The records of one capture, in file order: a plain ``list`` of
-    :class:`FlowRecord`.
+class FlowLog(tuple):
+    """The records of one capture, in file order: a ``tuple`` of
+    :class:`FlowRecord` that owns the capture's :class:`ChannelIndex` as
+    ``by_channel``.
 
-    :func:`parse_flows` stores the capture's :class:`ChannelIndex` on the log
-    with a copy of its records, so :func:`bin_activity`,
-    :func:`~miakit.discovery.direct_dependencies` and
-    :func:`~miakit.discovery.detect_retry_chains` read it without building
-    it.  A log built otherwise keeps the index of the first call that needs
-    one.  Calls reuse the index while the log still equals that copy: the
-    same records, compared by value, in the same order.  Equal records build
-    the same index, so the reuse is exact.  After an edit that changes the
-    records, through a list method or not (``heapq``, ``list.append(log,
-    r)``), the next call builds the index again.
+    The index is built once, when the log is made, and the log cannot be
+    edited, so :func:`bin_activity`, :func:`~miakit.discovery.direct_dependencies`
+    and :func:`~miakit.discovery.detect_retry_chains` read it as it is.
     """
 
-    # (list of the records indexed, their index)
-    _indexed: tuple | None = None
+    by_channel: ChannelIndex
+
+    def __new__(cls, records: Iterable[FlowRecord] = ()) -> FlowLog:
+        log = super().__new__(cls, records)
+        log.by_channel = ChannelIndex(*_transposed(log)[:6])
+        return log
 
 
 INT64_MAX = 2**63 - 1
@@ -148,6 +146,11 @@ _BLOCK_LINES = 1024
 _CSV_ONLY = ('"', "\r", "\0")
 # The positions of the integer fields in a line.
 _INT_FIELDS = (0, 2, 4, 6, 7)
+
+
+def _transposed(records: Iterable[Sequence]) -> list:
+    """The eight columns of ``records``, one sequence per field."""
+    return list(zip(*records)) or [()] * 8
 
 
 def _check_header(line: str) -> None:
@@ -223,15 +226,15 @@ def parse_flows(
     its columns' extremes are checked; any other block, or one that fails a
     check, is read line by line with :func:`csv.reader`.  A text holding a
     quote, a carriage return or a NUL is read line by line throughout.
-    Equal host and protocol strings are held once.  The log is returned
-    with the capture's :class:`ChannelIndex`, built from the columns.
+    Equal host and protocol strings are held once.  The log's
+    :class:`ChannelIndex` is built from the columns, once.
     """
     if isinstance(source, str):
         text = source if "\n" in source else read_text(source)
     else:
         text = source.read()
 
-    records = FlowLog()
+    records: list[FlowRecord] = []
     columns: list[list] = [[] for _ in range(6)]
     strings: dict[str, str] = {}
 
@@ -243,9 +246,6 @@ def parse_flows(
         for column, values in zip(columns, (ts_us, src, src_port, dst, dst_port, proto)):
             column.extend(values)
 
-    def transposed(rows: list) -> Sequence:
-        return list(zip(*rows)) or [()] * 8
-
     if any(c in text for c in _CSV_ONLY):
         reader = csv.reader(io.StringIO(text))
         try:
@@ -253,7 +253,7 @@ def parse_flows(
         except csv.Error:
             header = []
         _check_header(",".join(header))
-        keep(transposed(_check_rows(reader, 2, strict, malformed)))
+        keep(_transposed(_check_rows(reader, 2, strict, malformed)))
     else:
         lines = text.split("\n")
         if lines[-1] == "":
@@ -264,10 +264,11 @@ def parse_flows(
             block = lines[start : start + _BLOCK_LINES]
             parsed = _block_columns(block, limit)
             if parsed is None:
-                parsed = transposed(_check_rows(csv.reader(block), start + 1, strict, malformed))
+                parsed = _transposed(_check_rows(csv.reader(block), start + 1, strict, malformed))
             keep(parsed)
-    records._indexed = (list(records), ChannelIndex.of_columns(*columns))
-    return records
+    log = tuple.__new__(FlowLog, records)
+    log.by_channel = ChannelIndex(*columns)
+    return log
 
 
 def serialize_flows(records: Iterable[FlowRecord]) -> str:
@@ -314,23 +315,11 @@ class ChannelIndex:
     ``ts_by_row[bounds[k]:bounds[k + 1]]``.  Nothing here depends on a bin
     width or window.
 
-    ``ChannelIndex(records)`` indexes any iterable of records;
-    :meth:`of_columns` builds the same index from the records' columns, as
-    :func:`parse_flows` does.
+    Built from the records' first six columns; :func:`channel_index` gives
+    the index of any iterable of records.
     """
 
-    def __init__(self, records: Iterable[FlowRecord]):
-        columns = list(zip(*records)) or [()] * 8
-        self._build(*columns[:6])
-
-    @classmethod
-    def of_columns(cls, ts_us, src_host, src_port, dst_host, dst_port, proto) -> ChannelIndex:
-        """The index of the records whose fields are these columns."""
-        index = cls.__new__(cls)
-        index._build(ts_us, src_host, src_port, dst_host, dst_port, proto)
-        return index
-
-    def _build(self, ts_us, src_host, src_port, dst_host, dst_port, proto) -> None:
+    def __init__(self, ts_us, src_host, src_port, dst_host, dst_port, proto):
         # The service side is the endpoint with the lower port; the
         # destination wins ties (service_side, column by column).
         src_port = np.array(src_port, dtype=np.int64)
@@ -362,18 +351,11 @@ class ChannelIndex:
 
 
 def channel_index(records: Iterable[FlowRecord]) -> ChannelIndex:
-    """The :class:`ChannelIndex` of ``records``: kept on a :class:`FlowLog`
-    while it holds equal records in the same order, built for this call
-    otherwise."""
-    if not isinstance(records, FlowLog):
-        return ChannelIndex(records)
-    kept = records._indexed
-    # list.__eq__ runs in C and passes over identical records without
-    # comparing their fields.
-    if kept is None or not list.__eq__(records, kept[0]):
-        snapshot = list(records)
-        kept = records._indexed = (snapshot, ChannelIndex(snapshot))
-    return kept[1]
+    """The :class:`ChannelIndex` of ``records``: a :class:`FlowLog`'s own,
+    built for this call from any other iterable."""
+    if isinstance(records, FlowLog):
+        return records.by_channel
+    return ChannelIndex(*_transposed(records)[:6])
 
 
 def bin_width_us(bin_width: float) -> int:
@@ -392,8 +374,8 @@ def bin_activity(
 ) -> ChannelSeries:
     """Per-bin flow counts for ``channel`` over ``window`` = [t0_us, t1_us).
 
-    The counts come from the capture's :func:`channel_index`, which a
-    :class:`FlowLog` keeps across calls of any bin width and window.
+    The counts come from the capture's :func:`channel_index`: a
+    :class:`FlowLog`'s serves every call, whatever its bin width and window.
     ``counts`` is a new int64 array on every call.  A window with more bins
     than numpy can allocate is a :class:`~miakit.fields.ValidationError` on
     ``bin_width``.

@@ -554,6 +554,8 @@ def propagate_static_impact(
     per bound asset: each task's assets are read once, and an asset the
     walk did not reach is checked against the graph, so the first unknown
     asset (in task order, then list order) raises :class:`UnknownAsset`.
+    Two task ids that are one key under ``str()``, such as ``1`` and
+    ``"1"``, are a :class:`DuplicateId` once every binding is read.
     """
     seeds = sorted(set(compromised))
     for a in seeds:
@@ -580,6 +582,14 @@ def propagate_static_impact(
             tasks[key] = verdict(TaskImpact, (key, True, tuple(chain)))
         else:
             tasks[key] = verdict(TaskImpact, (key, False, ()))
+    if len(tasks) < len(mission_bindings):
+        first: dict[str, object] = {}
+        for task_id in mission_bindings:
+            key = str(task_id)
+            if key in first:
+                why = f"task ids {first[key]!r} and {task_id!r} are both {key!r}"
+                raise DuplicateId("mission_bindings", why)
+            first[key] = task_id
     return StaticImpactReport(tuple(seeds), tasks)
 
 

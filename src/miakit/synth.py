@@ -17,10 +17,13 @@ import numpy as np
 import yaml
 
 from .fields import ValidationError, _list, _mapping, _read_float, _require
-from .flows import Channel, FlowRecord, ServiceKey, bin_width_us, parse_service
+from .flows import INT64_MAX, Channel, FlowRecord, ServiceKey, bin_width_us, parse_service
 from .scenario import read_yaml
 
 SCHEMA_VERSION = 1
+# The most flows a topology may expect over its duration: at about 420 bytes
+# a flow while generated and written, about 0.85 GB.
+MAX_EXPECTED_FLOWS = 2_000_000
 
 
 def load_topology(path: str) -> dict:
@@ -74,6 +77,22 @@ def _emit(
     )
 
 
+def _cascade(at: str, entry: dict) -> tuple:
+    """(client, service, rate, downstream service, lag, jitter, drop) of a cascade."""
+    up_at = f"{at}.upstream"
+    up = _mapping(_require(entry, "upstream", at), up_at)
+    client = str(_require(up, "client", up_at))
+    service = _service(up, "service", up_at)
+    rate = _number(up, "rate_per_s", up_at)
+    down_service = _service(entry, "downstream_service", at)
+    lag = _number(entry, "lag_s", at)
+    jitter = _number(entry, "jitter_s", at, 0.0)
+    drop = _number(entry, "drop_prob", at, 0.0)
+    if drop > 1:
+        raise ValidationError(f"{at}.drop_prob", f"must lie in [0, 1], got {drop}")
+    return client, service, rate, down_service, lag, jitter, drop
+
+
 def _poisson_times(rng: np.random.Generator, rate_per_s: float, duration_s: float) -> list[float]:
     times = []
     t = rng.exponential(1.0 / rate_per_s) if rate_per_s > 0 else duration_s
@@ -90,7 +109,10 @@ def gen_flows(
 
     Returns (records sorted by timestamp, ground-truth document).  A
     topology field that is missing or of the wrong type is a
-    :class:`~miakit.fields.ValidationError` naming its path.
+    :class:`~miakit.fields.ValidationError` naming its path.  Every field
+    is read before the first draw, and a duration whose microseconds pass
+    int64, or that expects more than :data:`MAX_EXPECTED_FLOWS` flows, is
+    refused on ``duration_s``.
     """
     if seed < 0:
         raise ValidationError("seed", "must be >= 0")
@@ -99,8 +121,31 @@ def gen_flows(
         duration_s = _read_float(topology.get("duration_s", 600.0), "duration_s")
     if not 0 < duration_s < math.inf:
         raise ValidationError("duration_s", f"must be finite and > 0, got {duration_s}")
+    if duration_s * 1e6 > INT64_MAX:
+        why = f"{duration_s:g} s is {duration_s * 1e6:.3g} us, past the int64 flow timestamp"
+        raise ValidationError("duration_s", why)
     bin_width = _read_float(topology.get("bin_width", 1.0), "bin_width")
     bin_width_us(bin_width)
+
+    channels = [
+        (str(_require(entry, "client", at)), _service(entry, "service", at),
+         _number(entry, "rate_per_s", at))
+        for at, entry in _entries(topology, "channels")
+    ]
+    cascades = [_cascade(at, entry) for at, entry in _entries(topology, "cascades")]
+    retries = [
+        (str(_require(entry, "client", at)), _service(entry, "primary", at),
+         _service(entry, "fallback", at), _number(entry, "rate_per_s", at),
+         _number(entry, "gap_s", at, 0.5))
+        for at, entry in _entries(topology, "retries")
+    ]
+    # A cascade and a retry each send up to two flows per request.
+    rates = [c[2] for c in channels] + [2 * c[2] for c in cascades] + [2 * r[3] for r in retries]
+    expected = duration_s * math.fsum(rates)
+    if expected > MAX_EXPECTED_FLOWS:
+        why = f"{duration_s:g} s of traffic expects {expected:.3g} flows,"
+        why += f" more than {MAX_EXPECTED_FLOWS}"
+        raise ValidationError("duration_s", why)
 
     records: list[FlowRecord] = []
     truth: dict[str, Any] = {
@@ -118,29 +163,15 @@ def gen_flows(
         if entry not in truth["direct"]:
             truth["direct"].append(entry)
 
-    for at, entry in _entries(topology, "channels"):
-        client = str(_require(entry, "client", at))
-        service = _service(entry, "service", at)
-        rate = _number(entry, "rate_per_s", at)
+    for client, service, rate in channels:
         times = _poisson_times(rng, rate, duration_s)
         for t in times:
             _emit(records, rng, t, client, service)
         if times:
             direct_truth(client, service)
 
-    for at, entry in _entries(topology, "cascades"):
-        up_at = f"{at}.upstream"
-        up = _mapping(_require(entry, "upstream", at), up_at)
-        client = str(_require(up, "client", up_at))
-        service = _service(up, "service", up_at)
-        rate = _number(up, "rate_per_s", up_at)
-        down_service = _service(entry, "downstream_service", at)
+    for client, service, rate, down_service, lag, jitter, drop in cascades:
         pivot = service.host
-        lag = _number(entry, "lag_s", at)
-        jitter = _number(entry, "jitter_s", at, 0.0)
-        drop = _number(entry, "drop_prob", at, 0.0)
-        if drop > 1:
-            raise ValidationError(f"{at}.drop_prob", f"must lie in [0, 1], got {drop}")
         up_times = _poisson_times(rng, rate, duration_s)
         emitted_down = False
         for t in up_times:
@@ -163,12 +194,7 @@ def gen_flows(
                 }
             )
 
-    for at, entry in _entries(topology, "retries"):
-        client = str(_require(entry, "client", at))
-        primary = _service(entry, "primary", at)
-        fallback = _service(entry, "fallback", at)
-        rate = _number(entry, "rate_per_s", at)
-        gap = _number(entry, "gap_s", at, 0.5)
+    for client, primary, fallback, rate, gap in retries:
         times = _poisson_times(rng, rate, duration_s)
         for t in times:
             _emit(records, rng, t, client, primary)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import time
+from unittest import mock
 
 import pytest
 import yaml
@@ -11,6 +12,7 @@ from miakit import cli as cli_mod
 from miakit import discovery
 from miakit import mission as mission_mod
 from miakit import scenario as scenario_mod
+from miakit import synth
 from miakit.cli import main
 from miakit.flows import FLOW_HEADER, bin_activity, parse_flows
 from miakit.kernel import Distribution
@@ -792,16 +794,20 @@ class TestCliPropagateAndReport:
             f"error: {where}[1].requires[1]: unknown asset 'nosuch'"
         ]
 
-    def test_propagate_names_the_task_whose_binding_the_query_reads(self, tmp_path, capsys):
-        # A repeated id binds the later task's list, so that is the one checked.
-        tasks = [{"id": "t1", "requires": ["ghost"]}, {"id": "t1", "requires": ["nosuch"]}]
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("first,second", [("t1", "t1"), (1, "1")])
+    def test_propagate_refuses_a_repeated_task_id(self, tmp_path, capsys, nested, first, second):
+        # Read as one key, the later task's list would hide the earlier one's.
+        tasks = [{"id": first, "requires": ["ghost"]}, {"id": second, "requires": ["plandb"]}]
+        doc = {"mission": {"tasks": tasks}} if nested else {"tasks": tasks}
         mpath = tmp_path / "mission.yaml"
-        mpath.write_text(yaml.safe_dump({"tasks": tasks}))
+        mpath.write_text(yaml.safe_dump(doc))
         rc = main(["propagate", "--graph", bundled_path("checkpoint.yaml"),
                    "--compromised", "plandb", "--mission", str(mpath)])
         assert rc == 1
+        where = "mission.tasks" if nested else "tasks"
         assert capsys.readouterr().err.splitlines() == [
-            "error: tasks[1].requires[0]: unknown asset 'nosuch'"
+            f"error: {where}[1].id: duplicate task id '{second}'"
         ]
 
     def test_propagate_unknown_compromised_asset_names_the_field(self, capsys):
@@ -1083,6 +1089,46 @@ class TestGenFlowsTopology:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
         assert not out.exists()
+
+
+# Topologies gen-flows refuses before its first draw, as (topology, --duration
+# or None, the one error line).
+UNBOUNDED_TOPOLOGIES = [
+    (bundled_path("cascade_clean.yaml"), "1e12",
+     "duration_s: 1e+12 s of traffic expects 1.4e+13 flows, more than 2000000"),
+    ({"duration_s": 1.0e14, "channels": [{"client": "a", "service": "b:80/tcp",
+                                          "rate_per_s": 1.0e-13}]}, None,
+     "duration_s: 1e+14 s is 1e+20 us, past the int64 flow timestamp"),
+    ({"channels": [{"client": "a", "service": "b:80/tcp", "rate_per_s": 1}],
+      "retries": [{"client": "a", "primary": "b:1/tcp", "rate_per_s": 1}]}, None,
+     "retries[0].fallback: missing required field"),
+]
+
+
+class TestGenFlowsBound:
+    @pytest.mark.parametrize("topo,duration,want", UNBOUNDED_TOPOLOGIES,
+                             ids=[w for _, _, w in UNBOUNDED_TOPOLOGIES])
+    def test_refused_before_any_draw(self, tmp_path, capsys, topo, duration, want):
+        if isinstance(topo, dict):
+            path = tmp_path / "topo.yaml"
+            path.write_text(yaml.safe_dump(topo))
+            topo = str(path)
+        argv = ["gen-flows", "--topology", topo, "--out", str(tmp_path / "f.csv")]
+        if duration is not None:
+            argv += ["--duration", duration]
+        with mock.patch.object(synth, "_poisson_times", side_effect=AssertionError("drew")):
+            assert one_error_line(capsys, argv) == [f"error: {want}"]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_the_bound_is_on_the_expected_count(self):
+        topo = {"duration_s": 10, "channels": [{"client": "a", "service": "b:80/tcp",
+                                                "rate_per_s": 1}]}
+        with mock.patch.object(synth, "MAX_EXPECTED_FLOWS", 10):
+            assert len(synth.gen_flows(topo, seed=1)[0]) > 0
+        with mock.patch.object(synth, "MAX_EXPECTED_FLOWS", 9):
+            with pytest.raises(ValidationError) as err:
+                synth.gen_flows(topo, seed=1)
+        assert err.value.field == "duration_s"
 
 
 # The attacker and defender fields that have a default, as (path, field name).

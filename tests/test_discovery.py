@@ -746,30 +746,6 @@ class TestIndexReadersMatchPerRecordCode:
         for source in (lambda: log, lambda: list(records), lambda: (r for r in records)):
             assert_index_readers_match(records, source, options)
 
-    @given(
-        records=st.lists(indexed_flow, min_size=1, max_size=60),
-        edits=st.lists(
-            st.tuples(st.sampled_from(["append", "set", "del", "sort"]),
-                      st.integers(min_value=0, max_value=10**6), indexed_flow),
-            min_size=1, max_size=4,
-        ),
-        options=retry_options,
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_log_edited_after_indexing(self, records, edits, options):
-        log = FlowLog(records)
-        assert_index_readers_match(list(log), lambda: log, options)
-        for op, k, record in edits:
-            if op == "append":
-                log.append(record)
-            elif op == "set" and log:
-                log[k % len(log)] = record
-            elif op == "del" and log:
-                del log[k % len(log)]
-            elif op == "sort":
-                log.sort(key=lambda r: (-r.ts_us, r.src_port))
-            assert_index_readers_match(list(log), lambda: log, options)
-
     def test_int64_timestamp_bounds(self):
         records = [FlowRecord(t, "c", 55000, "s", 443, "tcp", 1, 1) for t in (2**63 - 1, 0)]
         (dep,) = direct_dependencies(FlowLog(records))

@@ -175,6 +175,14 @@ class TestStaticImpact:
             r_large = propagate_static_impact(g, large, bindings)
             assert set(r_small.impacted_tasks()) <= set(r_large.impacted_tasks())
 
+    def test_task_ids_that_are_one_key_are_refused(self):
+        # 1 and "1" would both be the verdict of task "1", the later one's.
+        with pytest.raises(DuplicateId) as err:
+            propagate_static_impact(chain_graph(), {"c"}, {1: ["c"], "1": ["a"], "t": ["b"]})
+        assert (err.value.field, err.value.reason) == (
+            "mission_bindings", "task ids 1 and '1' are both '1'"
+        )
+
     def test_pure_function(self):
         g = chain_graph()
         a = propagate_static_impact(g, {"c"}, {"t": ["a"]})
@@ -496,8 +504,9 @@ class TestGraphDocument:
 
 def reference_static_impact(graph, compromised, mission_bindings):
     """The earlier body of ``propagate_static_impact``: every task's assets
-    validated, then sorted, and the witness built from the first reached.
-    Returns (compromised, {task key: (task_id, impacted, witness)})."""
+    validated, then sorted, and the witness built from the first reached;
+    then task ids that are one key under ``str()`` refused.  Returns
+    (compromised, {task key: (task_id, impacted, witness)})."""
     seeds = sorted(set(compromised))
     for a in seeds:
         graph.require(a)
@@ -529,6 +538,12 @@ def reference_static_impact(graph, compromised, mission_bindings):
                 witness = tuple(chain)
                 break
         tasks[str(task_id)] = (str(task_id), impacted, witness)
+    ids = list(mission_bindings)
+    for k, task_id in enumerate(ids):
+        for earlier in ids[:k]:
+            if str(earlier) == str(task_id):
+                why = f"task ids {earlier!r} and {task_id!r} are both {str(task_id)!r}"
+                raise DuplicateId("mission_bindings", why)
     return tuple(seeds), tasks
 
 
@@ -569,7 +584,7 @@ def bindings_of(tasks):
 def outcome(query, *args):
     try:
         return query(*args)
-    except UnknownAsset as exc:
+    except (UnknownAsset, DuplicateId) as exc:
         return type(exc), str(exc)
 
 
