@@ -17,7 +17,7 @@ import sys
 import yaml
 
 from . import discovery, flows, infrastructure, metrics, synth
-from .fields import MiakitError, ValidationError, _list, read_text
+from .fields import MiakitError, ValidationError, _list, _read_key, _read_keys, read_text
 from .infrastructure import InfrastructureGraph, build_topology, graph_doc, propagate_static_impact
 from .kernel import run_replications
 from .scenario import infrastructure_of, load_scenario, read_yaml
@@ -54,18 +54,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
         ts_us = records.by_channel.ts_us
         t0 = int(ts_us.min())
         t1 = int(ts_us.max()) + 1
-        cache: dict = {}
-
-        def series_for(channel):
-            if channel not in cache:
-                cache[channel] = flows.bin_activity(
-                    records, channel, args.bin_width, (t0, t1)
-                )
-            return cache[channel]
-
         indirect = discovery.infer_indirect(
             direct,
-            series_for,
+            lambda channel: flows.bin_activity(records, channel, args.bin_width, (t0, t1)),
             threshold=args.ncc_threshold,
             max_lag=args.max_lag,
             min_activity=args.min_activity,
@@ -183,14 +174,13 @@ def _load_bindings(path: str) -> tuple[dict, dict]:
         raise ValidationError("mission", f"{path} has no task list")
     bindings, fields = {}, {}
     for i, t in enumerate(tasks):
-        if not isinstance(t, dict) or "id" not in t:
+        if not isinstance(t, dict) or t.get("id") is None:
             raise ValidationError(f"{where}[{i}].id", "missing required field")
-        task_id = str(t["id"])
+        task_id = _read_key(t["id"], f"{where}[{i}].id")
         if task_id in bindings:
             raise infrastructure.DuplicateId(f"{where}[{i}].id", f"duplicate task id {task_id!r}")
         field = f"{where}[{i}].requires"
-        requires = _list(t.get("requires"), field)
-        bindings[task_id] = [str(a) for a in requires]
+        bindings[task_id] = _read_keys(t.get("requires"), field)
         fields[task_id] = field
     return bindings, fields
 

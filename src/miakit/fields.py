@@ -67,6 +67,18 @@ def _read_float(value: Any, fieldname: str) -> float:
         raise ValidationError(fieldname, f"expected a number, got {value!r}") from None
 
 
+def _read_key(value: Any, fieldname: str) -> str:
+    """An id, or a name another entry refers to: a scalar, never null."""
+    if value is None or isinstance(value, (list, dict, set)):
+        raise ValidationError(fieldname, f"must be a scalar, got {value!r}")
+    return str(value)
+
+
+def _read_keys(value: Any, fieldname: str) -> tuple:
+    """A list of keys (see :func:`_read_key`); absent or null reads as empty."""
+    return tuple(_read_key(v, f"{fieldname}[{i}]") for i, v in enumerate(_list(value, fieldname)))
+
+
 def _mapping(value: Any, fieldname: str) -> dict:
     """A document section; absent or null reads as empty."""
     if value is None:

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .fields import MiakitError, ValidationError, _list, _require
+from .fields import MiakitError, ValidationError, _list, _read_key, _require
 
 ASSET_KINDS = frozenset(
     {"device", "service", "application", "end_user_node", "external_link"}
@@ -97,18 +97,10 @@ class DependencyEdge:
 
 
 def _check_key(value, fieldname: str) -> None:
-    """A subnet or any-of group names a set of assets, so it is a scalar."""
-    if isinstance(value, (list, dict, set)):
-        raise ValidationError(fieldname, f"must be a scalar, got {value!r}")
-
-
-def _exploit_name(value, fieldname: str) -> str:
-    """An exploit a vulnerability or an attacker's capabilities name: a
-    scalar by the rule of :func:`_check_key`, and never null."""
-    if value is None:
-        raise ValidationError(fieldname, "must be a scalar, got None")
-    _check_key(value, fieldname)
-    return str(value)
+    """A subnet or any-of group names a set of assets, so it is a key; null
+    means none."""
+    if value is not None:
+        _read_key(value, fieldname)
 
 
 @dataclass(frozen=True)
@@ -386,19 +378,19 @@ def _reevaluate(
 
 
 def _asset(entry: dict) -> Asset:
-    asset_id = str(_require(entry, "id"))
+    asset_id = _read_key(_require(entry, "id"), "id")
     kind, name = str(entry.get("kind", "device")), str(entry.get("name", asset_id))
     return Asset(asset_id, kind, name, entry.get("subnet"))
 
 
 def _edge(entry: dict) -> DependencyEdge:
-    ends = str(_require(entry, "from")), str(_require(entry, "to"))
+    ends = _read_key(_require(entry, "from"), "from"), _read_key(_require(entry, "to"), "to")
     return DependencyEdge(*ends, str(entry.get("kind", "declared")), entry.get("group"))
 
 
 def _vulnerability(entry: dict) -> Vulnerability:
-    exploit = _exploit_name(_require(entry, "exploit"), "exploit")
-    return Vulnerability(str(_require(entry, "asset")), exploit)
+    exploit = _read_key(_require(entry, "exploit"), "exploit")
+    return Vulnerability(_read_key(_require(entry, "asset"), "asset"), exploit)
 
 
 # How an entry of each graph document list is read.

@@ -12,7 +12,6 @@ item to rework, otherwise the taint escapes as a corrupted completion.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -101,6 +100,10 @@ def validate_mission(
     normalized spec (tasks reordered so predecessors always come first).
     An error is a :class:`~miakit.fields.ValidationError` naming the field
     of the mission document, such as ``tasks[draft].after``."""
+    if spec.arrivals.mean() <= 0:
+        raise ValidationError("arrivals", "mean interval between arrivals must be positive")
+    if spec.day_length <= 0:
+        raise ValidationError("day_length", "must be positive")
     by_id = {}
     for i, task in enumerate(spec.tasks):
         if task.id in by_id:
@@ -131,7 +134,7 @@ def validate_mission(
         raise ValidationError("day_length", why)
     window = spec.horizon if spec.arrival_cutoff is None else min(spec.arrival_cutoff, spec.horizon)
     mean = spec.arrivals.mean()
-    expected = window / mean if mean > 0 else math.inf
+    expected = window / mean
     if expected > MAX_EXPECTED_ITEMS:
         why = (
             f"a mean interval of {mean:g} s over {window:g} s of arrivals expects {expected:.3g}"

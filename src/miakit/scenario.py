@@ -20,11 +20,18 @@ import yaml
 
 from . import metrics as metrics_mod
 from .fields import (
-    ValidationError, _list, _mapping, _read_float, _read_int, _require, read_text, within
+    ValidationError,
+    _list,
+    _mapping,
+    _read_float,
+    _read_int,
+    _read_key,
+    _read_keys,
+    _require,
+    read_text,
+    within,
 )
-from .infrastructure import (
-    InfrastructureGraph, Topology, _exploit_name, build_topology, graph_doc
-)
+from .infrastructure import InfrastructureGraph, Topology, build_topology, graph_doc
 from .kernel import Distribution, InvalidDistribution, Simulator, StreamFactory
 from .mission import (
     MissionResult,
@@ -152,7 +159,7 @@ def parse_start(value: Any) -> StartPolicy:
         if kind == "random":
             return StartPolicy.random(parse_duration(param, "start"))
         if kind == "task":
-            return StartPolicy.process_triggered(str(param))
+            return StartPolicy.process_triggered(_read_key(param, "start"))
     raise ValidationError("start", f"cannot read start policy {value!r}")
 
 
@@ -164,19 +171,46 @@ def _start_doc(policy: StartPolicy) -> dict:
     return {"task": policy.task}
 
 
-# How each field of the attacker and defender sections is read from the
-# document and echoed back to it, in echo order.  A field that is absent or
-# null takes the spec's default; one without a default is required.
+# How each field of a document section is read from the document and echoed
+# back to it, in echo order.  A field that is absent or null takes the spec's
+# default; one without a default is required.
+_TASK_FIELDS = {
+    "id": (_read_key, str),
+    "role": (_read_key, str),
+    "duration": (parse_distribution, _dist_doc),
+    "rework": (parse_distribution, _dist_doc),
+    "requires": (_read_keys, list),
+    "after": (_read_keys, list),
+}
+_MISSION_FIELDS = {
+    "day_length": (parse_duration, float),
+    "checkpoints": (
+        lambda value, name: tuple(parse_duration(c, name) for c in _list(value, name)),
+        list,
+    ),
+    "arrivals": (parse_distribution, _dist_doc),
+    "personnel": (
+        lambda value, name: {
+            _read_key(r, f"{name}.{r}"): _read_int(n, f"{name}.{r}")
+            for r, n in _mapping(value, name).items()
+        },
+        dict,
+    ),
+    "deadline_per_item": (parse_duration, lambda seconds: seconds),
+    "arrival_cutoff": (parse_duration, lambda seconds: seconds),
+    "tasks": (
+        lambda value, name: tuple(
+            _read_spec(TaskSpec, _TASK_FIELDS, t, f"{name}[{i}]")
+            for i, t in enumerate(_list(value, name))
+        ),
+        lambda tasks: [_spec_doc(t, _TASK_FIELDS) for t in tasks],
+    ),
+}
 _ATTACKER_FIELDS = {
-    "target": (lambda value, _: str(value), str),
+    "target": (_read_key, str),
     "effect": (lambda value, _: parse_effect(value), _effect_doc),
     "start": (lambda value, _: parse_start(value), _start_doc),
-    "capabilities": (
-        lambda value, name: frozenset(
-            _exploit_name(c, f"{name}[{i}]") for i, c in enumerate(_list(value, name))
-        ),
-        sorted,
-    ),
+    "capabilities": (lambda value, name: frozenset(_read_keys(value, name)), sorted),
     "spearphish_success_prob": (_read_float, float),
     "spearphish_interval": (parse_distribution, _dist_doc),
     "scan_interval": (parse_distribution, _dist_doc),
@@ -189,33 +223,44 @@ _DEFENDER_FIELDS = {
     "per_host_discovery_prob": (_read_float, float),
     "remediation_per_host": (parse_distribution, _dist_doc),
 }
+_SIM_FIELDS = {
+    "replications": (_read_int, int),
+    "base_seed": (_read_int, int),
+    "horizon": (parse_duration, float),
+}
+# The document keys whose spec attribute has another name.
+_ATTRIBUTE = {"rework": "rework_duration", "requires": "required_assets", "after": "predecessors"}
+_KEY = {attribute: key for key, attribute in _ATTRIBUTE.items()}
 
 
-def _read_spec(spec_type: type, table: dict, doc: dict) -> Any:
-    """``spec_type`` built from a document section through ``table``."""
-    kwargs = {}
-    for f in dataclasses.fields(spec_type):
-        value = doc.get(f.name)
-        if value is not None:
-            kwargs[f.name] = table[f.name][0](value, f.name)
-        elif f.default is dataclasses.MISSING:
-            raise ValidationError(f.name, "missing required field")
-    return spec_type(**kwargs)
+def _read_spec(spec_type: type, table: dict, doc: Any, path: str, **given: Any) -> Any:
+    """``spec_type`` built from the document section at ``path`` through
+    ``table``.  ``given`` holds the attributes read elsewhere, or a value
+    for an absent or null field that has no default in the spec."""
+    doc = _mapping(doc, path)
+    with within(path):
+        for f in dataclasses.fields(spec_type):
+            key = _KEY.get(f.name, f.name)
+            if key in table and doc.get(key) is not None:
+                given[f.name] = table[key][0](doc[key], key)
+            elif f.name not in given and f.default is dataclasses.MISSING:
+                raise ValidationError(key, "missing required field")
+        return spec_type(**given)
 
 
 def _spec_doc(spec: Any, table: dict) -> dict:
-    return {name: echo(getattr(spec, name)) for name, (_, echo) in table.items()}
+    return {key: echo(getattr(spec, _ATTRIBUTE.get(key, key))) for key, (_, echo) in table.items()}
 
 
 @dataclass
 class Scenario:
     topology: Topology
     mission: MissionSpec
-    attacker: AttackerSpec | None
-    defender: DefenderSpec | None
-    replications: int
-    base_seed: int
-    horizon: float
+    attacker: AttackerSpec | None = None
+    defender: DefenderSpec | None = None
+    replications: int = 1
+    base_seed: int = 0
+    horizon: float = 86_400.0
     source: str = ""
 
     def build_graph(self) -> InfrastructureGraph:
@@ -315,65 +360,22 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
         raise ValidationError("schema_version", f"unsupported version {version!r}")
 
     topology = infrastructure_of(doc)
-
-    sim_doc = _mapping(doc.get("sim"), "sim")
-    horizon = parse_duration(sim_doc.get("horizon", "1d"), "sim.horizon")
+    # The sim section reads straight onto the scenario; each other section
+    # is set on it once read.
+    sim_doc = doc.get("sim")
+    scenario = _read_spec(Scenario, _SIM_FIELDS, sim_doc, "sim", topology=topology, mission=None)
+    horizon = scenario.horizon
     if not 0 < horizon < float("inf"):
         raise ValidationError("sim.horizon", "must be positive and finite")
-    replications = _read_int(sim_doc.get("replications", 1), "sim.replications")
-    base_seed = _read_int(sim_doc.get("base_seed", 0), "sim.base_seed")
-    if replications < 1:
+    if scenario.replications < 1:
         raise ValidationError("sim.replications", "must be >= 1")
-    if base_seed < 0:
+    if scenario.base_seed < 0:
         raise ValidationError("sim.base_seed", "must be >= 0")
 
-    mission_doc = _mapping(_require(doc, "mission", "scenario"), "mission")
-    tasks = []
-    for i, tdoc in enumerate(_list(mission_doc.get("tasks"), "mission.tasks")):
-        loc = f"mission.tasks[{i}]"
-        tdoc = _mapping(tdoc, loc)
-        task_id = str(_require(tdoc, "id", loc))
-        tasks.append(
-            TaskSpec(
-                id=task_id,
-                duration=parse_distribution(_require(tdoc, "duration", loc), f"{loc}.duration"),
-                role=str(_require(tdoc, "role", loc)),
-                required_assets=tuple(map(str, _list(tdoc.get("requires"), f"{loc}.requires"))),
-                predecessors=tuple(map(str, _list(tdoc.get("after"), f"{loc}.after"))),
-                rework_duration=parse_distribution(
-                    tdoc.get("rework", 0.0), f"{loc}.rework"
-                ),
-            )
-        )
-    arrivals = parse_distribution(_require(mission_doc, "arrivals", "mission"), "mission.arrivals")
-    if arrivals.mean() <= 0:
-        raise ValidationError("mission.arrivals", "mean interval between arrivals must be positive")
-    day_length = parse_duration(mission_doc.get("day_length", "1d"), "mission.day_length")
-    if day_length <= 0:
-        raise ValidationError("mission.day_length", "must be positive")
-    mission = MissionSpec(
-        tasks=tuple(tasks),
-        arrivals=arrivals,
-        personnel={
-            str(r): _read_int(n, f"mission.personnel.{r}")
-            for r, n in _mapping(mission_doc.get("personnel"), "mission.personnel").items()
-        },
-        day_length=day_length,
-        horizon=horizon,
-        checkpoints=tuple(
-            parse_duration(c, "mission.checkpoints")
-            for c in _list(mission_doc.get("checkpoints"), "mission.checkpoints")
-        ),
-        deadline_per_item=(
-            parse_duration(mission_doc["deadline_per_item"], "mission.deadline_per_item")
-            if mission_doc.get("deadline_per_item") is not None
-            else None
-        ),
-        arrival_cutoff=(
-            parse_duration(mission_doc["arrival_cutoff"], "mission.arrival_cutoff")
-            if mission_doc.get("arrival_cutoff") is not None
-            else None
-        ),
+    mission_doc = _require(doc, "mission", "scenario")
+    mission = _read_spec(
+        MissionSpec, _MISSION_FIELDS, mission_doc, "mission",
+        tasks=(), personnel={}, horizon=horizon,
     )
     with within("mission"):
         mission = validate_mission(mission, topology)
@@ -381,9 +383,7 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
     attacker = None
     defender = None
     if doc.get("attacker") is not None:
-        adoc = _mapping(doc["attacker"], "attacker")
-        with within("attacker"):
-            attacker = _read_spec(AttackerSpec, _ATTACKER_FIELDS, adoc)
+        attacker = _read_spec(AttackerSpec, _ATTACKER_FIELDS, doc["attacker"], "attacker")
         for name in ("scan_interval", "spearphish_interval"):
             mean = getattr(attacker, name).mean()
             # The interval alone, then scaled by agility: the error names the cause.
@@ -407,9 +407,7 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
                 "defender", "scenario has an attacker; give a defender or an explicit null"
             )
         if doc["defender"] is not None:
-            ddoc = _mapping(doc["defender"], "defender")
-            with within("defender"):
-                defender = _read_spec(DefenderSpec, _DEFENDER_FIELDS, ddoc)
+            defender = _read_spec(DefenderSpec, _DEFENDER_FIELDS, doc["defender"], "defender")
             # A pass that leaves a host hidden is followed by another, so passes
             # repeat until the horizon, or at one instant until a find if they
             # take no time; each host is found in 1 / p passes on average.
@@ -424,48 +422,18 @@ def scenario_from_dict(doc: dict, source: str = "") -> Scenario:
                 why += f" more than {MAX_EXPECTED_ATTACKER_STEPS}"
                 raise ValidationError("defender.forensics_duration", why)
 
-    return Scenario(
-        topology=topology,
-        mission=mission,
-        attacker=attacker,
-        defender=defender,
-        replications=replications,
-        base_seed=base_seed,
-        horizon=horizon,
-        source=source,
+    return dataclasses.replace(
+        scenario, mission=mission, attacker=attacker, defender=defender, source=source
     )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Full document form with every default echoed."""
-    mission = scenario.mission
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "infrastructure": graph_doc(scenario.topology),
-        "mission": {
-            "day_length": mission.day_length,
-            "checkpoints": list(mission.checkpoints),
-            "arrivals": _dist_doc(mission.arrivals),
-            "personnel": dict(mission.personnel),
-            "deadline_per_item": mission.deadline_per_item,
-            "arrival_cutoff": mission.arrival_cutoff,
-            "tasks": [
-                {
-                    "id": t.id,
-                    "role": t.role,
-                    "duration": _dist_doc(t.duration),
-                    "rework": _dist_doc(t.rework_duration),
-                    "requires": list(t.required_assets),
-                    "after": list(t.predecessors),
-                }
-                for t in mission.tasks
-            ],
-        },
-        "sim": {
-            "replications": scenario.replications,
-            "base_seed": scenario.base_seed,
-            "horizon": scenario.horizon,
-        },
+        "mission": _spec_doc(scenario.mission, _MISSION_FIELDS),
+        "sim": _spec_doc(scenario, _SIM_FIELDS),
     }
     if scenario.attacker is not None:
         d = scenario.defender

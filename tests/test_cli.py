@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import operator
 import time
 from unittest import mock
 
@@ -760,6 +762,22 @@ class TestCliPropagateAndReport:
         assert err == [f"error: {where}[1].id: missing required field"]
 
     @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("task,want", [
+        ({"id": [1, 2]}, "[0].id: must be a scalar, got [1, 2]"),
+        ({"id": None}, "[0].id: missing required field"),
+        ({"id": "t1", "requires": [["plandb"]]},
+         "[0].requires[0]: must be a scalar, got ['plandb']"),
+    ])
+    def test_propagate_task_key_names_the_field(self, tmp_path, capsys, nested, task, want):
+        doc = {"mission": {"tasks": [task]}} if nested else {"tasks": [task]}
+        mpath = tmp_path / "mission.yaml"
+        mpath.write_text(yaml.safe_dump(doc))
+        argv = ["propagate", "--graph", bundled_path("checkpoint.yaml"),
+                "--compromised", "plandb", "--mission", str(mpath)]
+        where = "mission.tasks" if nested else "tasks"
+        assert one_error_line(capsys, argv) == [f"error: {where}{want}"]
+
+    @pytest.mark.parametrize("nested", [False, True])
     def test_propagate_tasks_not_a_list_names_the_field(self, tmp_path, capsys, nested):
         doc = {"mission": {"tasks": 5}} if nested else {"tasks": 5}
         mpath = tmp_path / "mission.yaml"
@@ -1131,8 +1149,16 @@ class TestGenFlowsBound:
         assert err.value.field == "duration_s"
 
 
-# The attacker and defender fields that have a default, as (path, field name).
+# The fields of the scenario sections that have a default, as (path, field name).
 SPEC_DEFAULTS = [
+    (("mission", name), f"mission.{name}")
+    for name in ("day_length", "checkpoints", "deadline_per_item", "arrival_cutoff")
+] + [
+    (("mission", "tasks", 0, name), f"mission.tasks[0].{name}")
+    for name in ("rework", "requires", "after")
+] + [
+    (("sim", name), f"sim.{name}") for name in ("horizon", "replications", "base_seed")
+] + [
     (("attacker", name), f"attacker.{name}")
     for name in ("capabilities", "spearphish_success_prob", "spearphish_interval",
                  "scan_interval", "proficiency", "agility")
@@ -1141,12 +1167,39 @@ SPEC_DEFAULTS = [
     for name in ("detect_delay", "forensics_duration", "per_host_discovery_prob",
                  "remediation_per_host")
 ]
-# Every scenario field that has a default, the graph entries' included.
-OPTIONAL_FIELDS = SPEC_DEFAULTS + [
+# Every scenario field that has a default, the graph entries' included, but
+# the horizon: a long one is refused by the calendar, arrival or attacker bound
+# it crosses, and the error names that bound's field (see OVERSIZED).
+OPTIONAL_FIELDS = [f for f in SPEC_DEFAULTS if f[1] != "sim.horizon"] + [
     (("infrastructure", "assets", 0, "kind"), "infrastructure.assets[0].kind"),
     (("infrastructure", "assets", 0, "subnet"), "infrastructure.assets[0].subnet"),
     (("infrastructure", "edges", 0, "kind"), "infrastructure.edges[0].kind"),
     (("infrastructure", "edges", 0, "group"), "infrastructure.edges[0].group"),
+]
+
+# The fields of the scenario sections that have no default, as (path, field name).
+REQUIRED_FIELDS = [
+    (("mission", "tasks", 0, name), f"mission.tasks[0].{name}")
+    for name in ("id", "role", "duration")
+] + [
+    (("mission", "arrivals"), "mission.arrivals"),
+    (("attacker", "target"), "attacker.target"),
+]
+# An id, or a field naming one, that is not a scalar, as (path, value, field name).
+BAD_KEYS = [
+    (("mission", "tasks", 0, "id"), [1, 2], "mission.tasks[0].id"),
+    (("mission", "tasks", 0, "role"), {"a": 1}, "mission.tasks[0].role"),
+    (("mission", "tasks", 0, "requires", 0), None, "mission.tasks[0].requires[0]"),
+    (("mission", "tasks", 0, "after"), [["draft"]], "mission.tasks[0].after[0]"),
+    (("mission", "personnel", None), 1, "mission.personnel.None"),
+    (("infrastructure", "assets", 0, "id"), None, "infrastructure.assets[0].id"),
+    (("infrastructure", "assets", 0, "id"), [1, 2], "infrastructure.assets[0].id"),
+    (("infrastructure", "edges", 0, "from"), None, "infrastructure.edges[0].from"),
+    (("infrastructure", "edges", 0, "to"), ["ws-1"], "infrastructure.edges[0].to"),
+    (("infrastructure", "vulnerabilities", 0, "asset"), None,
+     "infrastructure.vulnerabilities[0].asset"),
+    (("attacker", "target"), ["sys"], "attacker.target"),
+    (("attacker", "start"), {"task": ["draft"]}, "attacker.start"),
 ]
 
 
@@ -1196,16 +1249,42 @@ class TestInputErrors:
         try:
             scenario_from_dict(with_field(path, value))
         except ValidationError as exc:
-            assert exc.field == field
+            # A task's references are checked once every task is read; an
+            # error there names the task by its id.
+            assert exc.field in (field, field.replace("tasks[0]", "tasks[draft]"))
 
     @pytest.mark.parametrize("path", [p for p, _ in SPEC_DEFAULTS],
                              ids=[f for _, f in SPEC_DEFAULTS])
     def test_null_optional_field_reads_as_default(self, path):
         null, absent = with_field(path, None), with_field(path, None)
-        del absent[path[0]][path[1]]
+        del functools.reduce(operator.getitem, path[:-1], absent)[path[-1]]
         assert scenario_to_dict(scenario_from_dict(null)) == scenario_to_dict(
             scenario_from_dict(absent)
         )
+
+    @pytest.mark.parametrize("path,field", REQUIRED_FIELDS, ids=[f for _, f in REQUIRED_FIELDS])
+    def test_null_required_field_is_missing(self, path, field):
+        null, absent = with_field(path, None), with_field(path, None)
+        del functools.reduce(operator.getitem, path[:-1], absent)[path[-1]]
+        for doc in (null, absent):
+            with pytest.raises(ValidationError) as err:
+                scenario_from_dict(doc)
+            assert str(err.value) == f"{field}: missing required field"
+
+    @pytest.mark.parametrize("path,value,field", BAD_KEYS, ids=[f for _, _, f in BAD_KEYS])
+    def test_key_that_is_not_a_scalar_names_its_field(self, path, value, field):
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(with_field(path, value))
+        assert err.value.field == field
+        assert err.value.reason.startswith("must be a scalar, got ")
+
+    def test_key_that_is_not_a_scalar_is_one_error_line(self, tmp_path, capsys):
+        doc = with_field(("mission", "tasks", 0, "id"), [1, 2])
+        argv = ["simulate", "--scenario", write_scenario(tmp_path, doc),
+                "--out", str(tmp_path / "m.csv")]
+        assert one_error_line(capsys, argv) == [
+            "error: mission.tasks[0].id: must be a scalar, got [1, 2]"
+        ]
 
     def test_attack_start_task_must_exist(self, tmp_path, capsys):
         doc = yaml.safe_load(open(bundled_path("checkpoint.yaml")))

@@ -547,7 +547,8 @@ def reference_static_impact(graph, compromised, mission_bindings):
     return tuple(seeds), tasks
 
 
-# Task ids: 1 and "1" (and 2 and "2") are one key once made strings.
+# Task ids: 1 and "1" (and 2 and "2") are one key once made strings, so a
+# query draws ids distinct under str() and an example keeps one collision.
 TASK_IDS = st.sampled_from(["plan", "ship", "1", 1, "2", 2])
 UNKNOWN_ASSETS = st.sampled_from(["nosuch", "n99", 7])
 
@@ -566,7 +567,7 @@ def impact_queries(draw):
     compromised = draw(st.lists(st.sampled_from(ids) | st.sampled_from(relied_on), max_size=3))
     required = st.lists(st.sampled_from(ids) | st.sampled_from(reliant), max_size=4)
     tasks = draw(st.lists(st.tuples(TASK_IDS, required, st.sampled_from([list, tuple, iter])),
-                          max_size=8))
+                          max_size=8, unique_by=lambda task: str(task[0])))
     if tasks and draw(st.booleans()):
         k = draw(st.integers(0, len(tasks) - 1))
         task_id, required, shape = tasks[k]
@@ -601,6 +602,7 @@ class TestStaticImpactOracle:
     @given(impact_queries())
     @example((DIAMOND, ["a"], [("t", ["d"], list), ("u", ["c", "b"], iter), (1, [], tuple)]))
     @example((DIAMOND, ["b"], [("t", ["a"], tuple), ("u", ["b", "nosuch"], list)]))
+    @example((DIAMOND, ["a"], [(1, ["d"], list), ("t", [], tuple), ("1", ["b"], iter)]))
     def test_matches_the_earlier_task_loop(self, case):
         spec, compromised, tasks = case
         g = build_graph(spec)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from miakit import kernel as kernel_mod
 from miakit import mission as mission_mod
+from miakit.fields import ValidationError
 from miakit.infrastructure import AssetState, build_graph, set_state
 from miakit.kernel import Distribution, Simulator, StreamFactory
 from miakit.mission import (
@@ -87,6 +88,16 @@ class TestValidate:
         s = spec([task("t1", 1)], 10, checkpoints=[90_000.0])
         with pytest.raises(ValueError):
             validate_mission(s)
+
+    @pytest.mark.parametrize("arrivals,day_length,field,reason", [
+        (10, 0.0, "day_length", "must be positive"),
+        (0, 0.0, "arrivals", "mean interval between arrivals must be positive"),
+    ])
+    def test_mission_rules_checked_before_the_bounds(self, arrivals, day_length, field, reason):
+        s = spec([task("t1", 1)], arrivals, day_length=day_length)
+        with pytest.raises(ValidationError) as err:
+            validate_mission(s)
+        assert (err.value.field, err.value.reason) == (field, reason)
 
     def test_random_dag_order_consistent_with_edges(self):
         rng = random.Random(321)
