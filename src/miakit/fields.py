@@ -68,9 +68,12 @@ def _read_float(value: Any, fieldname: str) -> float:
 
 
 def _read_key(value: Any, fieldname: str) -> str:
-    """An id, or a name another entry refers to: a scalar, never null."""
+    """An id, or a name another entry refers to: a scalar, never null, and
+    never a boolean, which YAML reads from ``on``, ``yes`` or ``true`` alike."""
     if value is None or isinstance(value, (list, dict, set)):
         raise ValidationError(fieldname, f"must be a scalar, got {value!r}")
+    if isinstance(value, bool):
+        raise ValidationError(fieldname, f"YAML reads this id as {value!r}; quote it")
     return str(value)
 
 

@@ -139,8 +139,10 @@ def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
     return FlowRecord(ts_us, fields[1], src_port, fields[3], dst_port, proto, nbytes, packets)
 
 
-# Lines that parse_flows checks and converts together.
+# Lines that parse_flows checks and converts together, and the most lines of
+# a failed block it reads line by line.
 _BLOCK_LINES = 1024
+_PIECE_LINES = 16
 # Characters that only csv.reader may interpret: quotes and carriage returns,
 # and NUL, which the reader refuses before Python 3.11.
 _CSV_ONLY = ('"', "\r", "\0")
@@ -198,15 +200,40 @@ def _block_columns(lines: list[str], limit: int) -> list | None:
         return None
     columns = [fields[k::9] for k in range(8)]
     try:
+        # The protocols first: they cost least to check, and a block that
+        # fails is tried again in halves.
+        for proto in set(columns[5]):
+            _check_fields((0, "", 0, "", 0, proto, 0, 1), 0)
         for k in _INT_FIELDS:
             columns[k] = list(map(int, columns[k]))
-        extremes = [[pick(columns[k]) for k in _INT_FIELDS] for pick in (min, max)]
-        for proto in set(columns[5]):
-            for ts_us, src_port, dst_port, nbytes, packets in extremes:
-                _check_fields((ts_us, "", src_port, "", dst_port, proto, nbytes, packets), 0)
+        for pick in (min, max):
+            ts_us, src_port, dst_port, nbytes, packets = (pick(columns[k]) for k in _INT_FIELDS)
+            _check_fields((ts_us, "", src_port, "", dst_port, "tcp", nbytes, packets), 0)
     except (ValueError, MalformedLine):
         return None
     return columns
+
+
+def _pieces(block: list[str], line_no: int, parsed: list | None, limit: int) -> Iterator:
+    """``block``, its first line ``line_no``, as (lines, first line,
+    columns) pieces in line order.  ``parsed`` is the block's columns, or
+    None when it failed: then its halves are tried, and it is one piece with
+    no columns, to be read line by line, when it is at most ``_PIECE_LINES``
+    lines or both halves fail too (its bad lines are dense, and smaller
+    pieces would only fail again)."""
+    if parsed is not None:
+        yield block, line_no, parsed
+        return
+    half = len(block) // 2
+    halves = ((block[:half], line_no), (block[half:], line_no + half))
+    tried = [None, None]
+    if len(block) > _PIECE_LINES:
+        tried = [_block_columns(piece, limit) for piece, _ in halves]
+    if tried == [None, None]:
+        yield block, line_no, None
+        return
+    for (piece, start), columns in zip(halves, tried):
+        yield from _pieces(piece, start, columns, limit)
 
 
 def parse_flows(
@@ -224,10 +251,13 @@ def parse_flows(
     The text is read in blocks of ``_BLOCK_LINES`` lines.  A block whose
     lines all have eight fields is split and converted column by column, and
     its columns' extremes are checked; any other block, or one that fails a
-    check, is read line by line with :func:`csv.reader`.  A text holding a
-    quote, a carriage return or a NUL is read line by line throughout.
-    Equal host and protocol strings are held once.  The log's
-    :class:`ChannelIndex` is built from the columns, once.
+    check, is tried again in halves.  A piece of at most ``_PIECE_LINES``
+    lines that fails, or one whose halves both fail, is read line by line
+    with :func:`csv.reader`.  Pieces are kept in line order, so a bad line
+    is met in file order.  A text holding a quote, a carriage return or a
+    NUL is read line by line throughout.  Equal host and protocol strings
+    are held once.  The log's :class:`ChannelIndex` is built from the
+    columns, once.
     """
     if isinstance(source, str):
         text = source if "\n" in source else read_text(source)
@@ -262,10 +292,11 @@ def parse_flows(
         limit = csv.field_size_limit()
         for start in range(1, len(lines), _BLOCK_LINES):
             block = lines[start : start + _BLOCK_LINES]
-            parsed = _block_columns(block, limit)
-            if parsed is None:
-                parsed = _transposed(_check_rows(csv.reader(block), start + 1, strict, malformed))
-            keep(parsed)
+            pieces = _pieces(block, start + 1, _block_columns(block, limit), limit)
+            for piece, line_no, parsed in pieces:
+                if parsed is None:
+                    parsed = _transposed(_check_rows(csv.reader(piece), line_no, strict, malformed))
+                keep(parsed)
     log = tuple.__new__(FlowLog, records)
     log.by_channel = ChannelIndex(*columns)
     return log

@@ -178,13 +178,11 @@ class StreamFactory:
         self.base_seed = int(base_seed)
         self.replication = int(replication)
         # Collapse (base_seed, replication) into one 64-bit replication seed.
-        ss = np.random.SeedSequence((self.base_seed, self.replication))
-        self._rep_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-        # Imported here, not at the top: it needs numpy.random (a few MB),
-        # which commands that run no simulation never load.
-        from .seeding import ItemSeeds
+        # seeding is imported here, not at the top: it needs numpy.random (a
+        # few MB), which commands that run no simulation never load.
+        from .seeding import replication_seeds
 
-        self._seeds = ItemSeeds(self._rep_seed)
+        self._rep_seed, self._seeds = replication_seeds(self.base_seed, self.replication)
 
     def stream(self, stream_id: int) -> RngStream:
         """Stream ``stream_id``: ``SeedSequence((rep_seed, stream_id))``,

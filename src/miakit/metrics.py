@@ -53,6 +53,7 @@ def collect(mission_result, attack_timeline=None) -> MissionMetrics:
     value against the baseline run (see :func:`compare`).
     """
     items = mission_result.items
+    blocked = mission_result.blocked_time.values()
     completed = [i for i in items if i.outcome == "completed_clean"]
     corrupted = [i for i in items if i.outcome == "completed_corrupted"]
     finished = completed + corrupted
@@ -80,7 +81,8 @@ def collect(mission_result, attack_timeline=None) -> MissionMetrics:
         # then share one 0.0 instead of holding a new float per row.
         corrupted_fraction=len(corrupted) / len(finished) if corrupted else 0.0,
         mean_completion_delay_s=mean_completion,
-        blocked_s=sum(mission_result.blocked_time.values()),
+        # Likewise a task's own 0.0 when nothing was blocked (0 with no tasks).
+        blocked_s=sum(blocked) or next(iter(blocked), 0),
         attack_duration_s=attack_s,
         confidentiality_exposure_s=exposure_s,
     )

@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from .fields import ValidationError
-from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance_all
+from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance
 from .kernel import Distribution, Simulator, StreamFactory, sample
 
 _COMPROMISED = "integrity_compromised"
@@ -99,7 +99,7 @@ def validate_mission(
     """Check references, compute a topological task order, return the
     normalized spec (tasks reordered so predecessors always come first).
     An error is a :class:`~miakit.fields.ValidationError` naming the field
-    of the mission document, such as ``tasks[draft].after``."""
+    of the mission document by the task's index, such as ``tasks[0].after``."""
     if spec.arrivals.mean() <= 0:
         raise ValidationError("arrivals", "mean interval between arrivals must be positive")
     if spec.day_length <= 0:
@@ -109,19 +109,19 @@ def validate_mission(
         if task.id in by_id:
             raise ValidationError(f"tasks[{i}].id", f"duplicate task id {task.id!r}")
         by_id[task.id] = task
-    for task in spec.tasks:
+    for i, task in enumerate(spec.tasks):
         for pred in task.predecessors:
             if pred not in by_id:
-                raise ValidationError(f"tasks[{task.id}].after", f"unknown predecessor {pred!r}")
+                raise ValidationError(f"tasks[{i}].after", f"unknown predecessor {pred!r}")
         if task.role not in spec.personnel:
-            raise UnknownRole(f"tasks[{task.id}].role", f"role {task.role!r} has no headcount")
+            raise UnknownRole(f"tasks[{i}].role", f"role {task.role!r} has no headcount")
         if spec.personnel[task.role] < 1:
             raise ValidationError(f"personnel.{task.role}", "headcount must be >= 1")
         if graph is not None:
             for asset in task.required_assets:
                 if asset not in graph.assets:
                     why = f"task {task.id!r} bound to unknown asset {asset!r}"
-                    raise UnknownAssetBinding(f"tasks[{task.id}].requires", why)
+                    raise UnknownAssetBinding(f"tasks[{i}].requires", why)
     for cp in spec.checkpoints:
         if not (0 <= cp < spec.day_length):
             raise ValidationError("checkpoints", f"checkpoint {cp} outside [0, day_length)")
@@ -584,10 +584,12 @@ class MissionRuntime:
         return sorted(running, key=attrgetter("id"))
 
     def _refresh_factors(self, initial: bool = False) -> None:
-        perf = effective_performance_all(self.graph)
+        # Only the tasks' own assets are read: a copy of the whole map would
+        # cost as much as the graph is large.
+        graph = self.graph
         now = self.sim.now
         for task, assets in enumerate(self.index.required):
-            new_f = min(perf[a] for a in assets) if assets else 1.0
+            new_f = min(effective_performance(graph, a) for a in assets) if assets else 1.0
             old_f = self.factors[task]
             self.factors[task] = new_f
             if initial:

@@ -7,10 +7,17 @@ Building that SeedSequence and calling its ``generate_state`` costs about
 17 us per stream.  :class:`ItemSeeds` computes the same seeds for many ids
 at once with numpy's own SeedSequence arithmetic on uint32 arrays, and
 hands each one to PCG64 through :class:`PrecomputedSeed`.
+
+:func:`replication_seeds` goes one step further and hashes a block of
+:data:`REP_BLOCK` replications at once: their replication seeds
+``SeedSequence((base_seed, k)).generate_state(1, np.uint64)``, then each
+one's first block of stream seeds.  The last block computed is cached, so
+the attack and baseline runs of replication k hash it once between them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 import numpy as np
@@ -53,6 +60,12 @@ _MIX = [_mix_constants(src) for src in range(_POOL_SIZE)]
 NAMED = (StreamFactory.ARRIVALS, StreamFactory.ATTACKER, StreamFactory.DEFENDER)
 FIRST_ITEM = StreamFactory._ITEM_BASE + 1
 
+# Replications whose seeds :func:`replication_seeds` hashes together; a power
+# of two, so that no block straddles 2**32 (past it an index is two words).
+# A block of 16 holds 34 KB of seeds and its hash peaks at about 140 KB;
+# a larger one saves a few us per replication for proportionally more.
+REP_BLOCK = 16
+
 
 def _uint32_words(n: int) -> list[int]:
     """``n >= 0`` as little-endian 32-bit words, the way SeedSequence splits
@@ -90,12 +103,15 @@ def pcg64_seeds(entropy: list[np.ndarray]) -> np.ndarray:
         pool -= hashed
         pool ^= pool >> _U16
         pool[src] = kept
-    words = np.concatenate((pool, pool)) ^ _B[:8]
+    words = np.concatenate((pool, pool))
+    words ^= _B[:8]
     words *= _B[1:]
     words ^= words >> _U16
-    words = words.astype(np.uint64)
-    pairs = words[0::2] | (words[1::2] << np.uint64(32))
-    return np.ascontiguousarray(pairs.T)
+    # A seed's eight words lie in memory as its four uint64 words, as in
+    # SeedSequence's own ``state.view(np.uint64)``; no wider copy is made.
+    seeds = np.empty((pool.shape[1], 4), dtype=np.uint64)
+    seeds.view(np.uint32)[:] = words.T
+    return seeds
 
 
 class PrecomputedSeed(ISeedSequence):
@@ -125,10 +141,11 @@ class ItemSeeds:
     FIRST_BLOCK = 64
     MAX_BLOCK = 1024
 
-    def __init__(self, rep_seed: int):
+    def __init__(self, rep_seed: int, first_rows: np.ndarray | None = None):
+        """``first_rows``, when given, are the first block's seeds, one per
+        id of :data:`FIRST_IDS` (see :func:`first_block_rows`)."""
         self._rep_words = _uint32_words(rep_seed)
-        items = np.arange(FIRST_ITEM, FIRST_ITEM + self.FIRST_BLOCK, dtype=np.uint32)
-        rows = self._hash(np.concatenate((np.array(NAMED, dtype=np.uint32), items)))
+        rows = self._hash(FIRST_IDS) if first_rows is None else first_rows
         self._named = dict(zip(NAMED, rows))
         self._start = FIRST_ITEM
         self._block = rows[len(NAMED) :]
@@ -151,3 +168,57 @@ class ItemSeeds:
         self._block = self._hash(np.arange(stream_id, stream_id + size, dtype=np.uint32))
         self._start = stream_id
         return PrecomputedSeed(self._block[0])
+
+
+# The stream ids of an :class:`ItemSeeds` first block, in row order.
+FIRST_IDS = np.concatenate(
+    (
+        np.array(NAMED, dtype=np.uint32),
+        np.arange(FIRST_ITEM, FIRST_ITEM + ItemSeeds.FIRST_BLOCK, dtype=np.uint32),
+    )
+)
+
+
+def first_block_rows(rep_seeds: np.ndarray) -> np.ndarray:
+    """The first-block seeds of many replication seeds (uint64), hashed in
+    one pass: ``len(FIRST_IDS)`` rows per seed, in :data:`FIRST_IDS` order."""
+    ids = np.tile(FIRST_IDS, len(rep_seeds))
+    rep_seeds = np.repeat(rep_seeds, len(FIRST_IDS))
+    low = (rep_seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (rep_seeds >> np.uint64(32)).astype(np.uint32)
+    # A seed below 2**32 is one entropy word, so the stream id is the second
+    # word, not the third; SeedSequence hashes an absent word as 0.
+    wide = high != 0
+    return pcg64_seeds([low, np.where(wide, high, ids), np.where(wide, ids, 0)])
+
+
+@functools.lru_cache(maxsize=1)
+def _replication_block(base_seed: int, block: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The :data:`REP_BLOCK` replications of ``base_seed`` from ``block *
+    REP_BLOCK`` on: their seeds, and their first-block rows (read-only,
+    ``len(FIRST_IDS)`` per replication)."""
+    first = block * REP_BLOCK
+    indices = np.arange(first, first + REP_BLOCK, dtype=np.uint32)
+    words = [np.full(REP_BLOCK, w, dtype=np.uint32) for w in _uint32_words(base_seed)]
+    rep_seeds = pcg64_seeds(words + [indices])[:, 0]
+    rows = first_block_rows(rep_seeds)
+    rows.flags.writeable = False
+    return tuple(rep_seeds.tolist()), rows
+
+
+def replication_seeds(base_seed: int, replication: int) -> tuple[int, ItemSeeds]:
+    """Replication ``replication``'s seed, ``SeedSequence((base_seed,
+    replication)).generate_state(1, np.uint64)[0]``, and its stream seeds.
+
+    Both come from the cached block of :data:`REP_BLOCK` replications when
+    ``(base_seed, replication)`` fits the pool of four words with a one-word
+    index; otherwise they are computed for this replication alone.
+    """
+    if 0 <= replication <= _MASK32 and 0 <= base_seed < 1 << 96:
+        block, offset = divmod(replication, REP_BLOCK)
+        rep_seeds, rows = _replication_block(base_seed, block)
+        n = len(FIRST_IDS)
+        return rep_seeds[offset], ItemSeeds(rep_seeds[offset], rows[offset * n : (offset + 1) * n])
+    ss = np.random.SeedSequence((base_seed, replication))
+    rep_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
+    return rep_seed, ItemSeeds(rep_seed)

@@ -675,7 +675,7 @@ class TestCliSimulate:
                    "--out", str(tmp_path / "m.csv")])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: mission.tasks[draft].requires: task 'draft' bound to unknown asset 'ghost'"
+            "error: mission.tasks[0].requires: task 'draft' bound to unknown asset 'ghost'"
         ]
 
     def test_workers_flag_is_a_usage_error(self, tmp_path):
@@ -995,9 +995,9 @@ class TestGraphDocuments:
 # the one error line).
 BAD_MISSIONS = [
     (lambda m: m["tasks"][0].update(after=["zz"]),
-     "mission.tasks[draft].after: unknown predecessor 'zz'"),
+     "mission.tasks[0].after: unknown predecessor 'zz'"),
     (lambda m: m["tasks"][0].update(role="pilot"),
-     "mission.tasks[draft].role: role 'pilot' has no headcount"),
+     "mission.tasks[0].role: role 'pilot' has no headcount"),
     (lambda m: m["personnel"].update(planner=0),
      "mission.personnel.planner: headcount must be >= 1"),
     (lambda m: m["tasks"].append(dict(m["tasks"][0])),
@@ -1249,9 +1249,7 @@ class TestInputErrors:
         try:
             scenario_from_dict(with_field(path, value))
         except ValidationError as exc:
-            # A task's references are checked once every task is read; an
-            # error there names the task by its id.
-            assert exc.field in (field, field.replace("tasks[0]", "tasks[draft]"))
+            assert exc.field == field
 
     @pytest.mark.parametrize("path", [p for p, _ in SPEC_DEFAULTS],
                              ids=[f for _, f in SPEC_DEFAULTS])
@@ -1277,6 +1275,26 @@ class TestInputErrors:
             scenario_from_dict(with_field(path, value))
         assert err.value.field == field
         assert err.value.reason.startswith("must be a scalar, got ")
+
+    @pytest.mark.parametrize("word", ["on", "yes", "true", "off", "no", "False"])
+    def test_boolean_id_is_refused_with_a_hint_to_quote_it(self, word):
+        # YAML 1.1 reads all of these as a boolean; the id the document wrote
+        # is lost, so `on` and `yes` would collide as 'True'.
+        doc = yaml.safe_load(f"infrastructure: {{assets: [{{id: a}}, {{id: {word}}}]}}")
+        with pytest.raises(ValidationError) as err:
+            scenario_mod.infrastructure_of(doc)
+        assert err.value.field == "infrastructure.assets[1].id"
+        assert err.value.reason.endswith("; quote it")
+        quoted = yaml.safe_load(f"infrastructure: {{assets: [{{id: a}}, {{id: '{word}'}}]}}")
+        assert list(scenario_mod.infrastructure_of(quoted).assets) == ["a", word]
+
+    def test_boolean_task_id_is_one_error_line(self, tmp_path, capsys):
+        doc = with_field(("mission", "tasks", 0, "id"), True)
+        argv = ["simulate", "--scenario", write_scenario(tmp_path, doc),
+                "--out", str(tmp_path / "m.csv")]
+        assert one_error_line(capsys, argv) == [
+            "error: mission.tasks[0].id: YAML reads this id as True; quote it"
+        ]
 
     def test_key_that_is_not_a_scalar_is_one_error_line(self, tmp_path, capsys):
         doc = with_field(("mission", "tasks", 0, "id"), [1, 2])

@@ -1,4 +1,5 @@
 import csv
+import gc
 import heapq
 import io
 import itertools
@@ -566,10 +567,12 @@ class TestBlockParsing:
                 assert held.setdefault(s, s) is s
 
     @given(text=flow_text(), strict=st.booleans(),
-           block=st.sampled_from([1, 3, flows._BLOCK_LINES]))
+           block=st.sampled_from([1, 3, flows._BLOCK_LINES]),
+           piece=st.sampled_from([1, 2, flows._PIECE_LINES]))
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_line_loop(self, text, strict, block):
-        with mock.patch.object(flows, "_BLOCK_LINES", block):
+    def test_matches_the_line_loop(self, text, strict, block, piece):
+        with mock.patch.object(flows, "_BLOCK_LINES", block), \
+                mock.patch.object(flows, "_PIECE_LINES", piece):
             self.check(text, strict)
 
     # The edited line is the first, either side of the first block boundary,
@@ -587,6 +590,39 @@ class TestBlockParsing:
             lines[at] = line_of(fields)
         for strict in (True, False):
             self.check("\n".join([FLOW_HEADER] + lines) + "\n", strict)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_bad_line_sends_only_its_piece_through_the_line_loop(self, monkeypatch, strict):
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(2_048)]
+        lines[700] = "700,c0,50000,s0,443,icmp,10,1"
+        read = []
+        real = flows._check_rows
+
+        def spy(rows, line_no, strict, malformed):
+            rows = list(rows)
+            read.append((line_no, len(rows)))
+            return real(iter(rows), line_no, strict, malformed)
+
+        monkeypatch.setattr(flows, "_check_rows", spy)
+        text = "\n".join([FLOW_HEADER] + lines) + "\n"
+        self.check(text, strict)
+        # Line 702 of the file: the header, then lines[0] as line 2.
+        assert read and all(line_no <= 702 < line_no + n <= line_no + flows._PIECE_LINES
+                            for line_no, n in read)
+
+    def test_a_parse_leaves_no_reference_cycle(self):
+        # Objects in a cycle wait for the cyclic collector: a parse that left
+        # one would hold its working lists, and the records, past its return.
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(2_048)]
+        lines[700] = "700,c0,50000,s0,443,icmp,10,1"
+        text = "\n".join([FLOW_HEADER] + lines) + "\n"
+        gc.collect()
+        gc.disable()
+        try:
+            parse_flows(text, strict=False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_lines_whose_field_counts_cancel_out(self, strict):

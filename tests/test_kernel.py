@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from miakit.kernel import (
     sample,
     trace_lines,
 )
+from miakit.scenario import bundled_path, load_scenario
 
 
 class TestScheduling:
@@ -325,6 +328,107 @@ class TestStreamSeedBlocks:
         seeds = seeding.ItemSeeds(rep_seed)
         for stream_id in (*NAMED, 1_000_001, 1_000_064, 1_000_065, 1_000_300):
             assert seeds.get(stream_id)._state.flags.c_contiguous
+
+
+BASE_SEEDS = [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 - 1, 2**96]
+BLOCK_EDGES = [0, 15, 16, 63, 64, 2**32 - 17, 2**32 - 16, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+def _replication_seed(base_seed, replication):
+    return int(np.random.SeedSequence((base_seed, replication)).generate_state(1, np.uint64)[0])
+
+
+class TestReplicationSeedBlocks:
+    """A replication's seed and its first stream seeds come from one hash
+    over a block of replications; every stream must still start from
+    ``SeedSequence((SeedSequence((base, k)).generate_state(1, uint64)[0], i))``.
+    2**96 is four words with the index, past the pool: it takes the
+    per-replication path, as does an index past 2**32 - 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base_seed=st.sampled_from(BASE_SEEDS),
+        replication=st.sampled_from(BLOCK_EDGES),
+        requests=st.permutations(
+            [("stream", i) for i in NAMED] + [("item", k) for k in range(1, 201)]
+        ),
+    )
+    def test_every_stream_matches_seed_sequence(self, base_seed, replication, requests):
+        factory = StreamFactory(base_seed, replication)
+        rep_seed = _replication_seed(base_seed, replication)
+        assert factory._rep_seed == rep_seed
+        for kind, number in requests:
+            stream, stream_id = _request(factory, kind, number)
+            assert stream._gen.bit_generator.state == _reference_state(rep_seed, stream_id)
+
+    @pytest.mark.parametrize("rep_seeds", [[0, 1, 2**32 - 1], [2**32, 2**64 - 1, 5, 2**40 + 3]])
+    def test_block_rows_of_small_and_edge_replication_seeds(self, rep_seeds):
+        # A seed below 2**32 is one entropy word; it shares a block with
+        # wider ones.
+        rows = seeding.first_block_rows(np.array(rep_seeds, dtype=np.uint64))
+        n = len(seeding.FIRST_IDS)
+        assert rows.shape == (n * len(rep_seeds), 4)
+        for j, rep_seed in enumerate(rep_seeds):
+            for stream_id, row in zip(seeding.FIRST_IDS.tolist(), rows[j * n : (j + 1) * n]):
+                state = np.random.PCG64(seeding.PrecomputedSeed(row)).state
+                assert state == _reference_state(rep_seed, stream_id)
+
+    def test_attack_and_baseline_share_one_block_hash(self, monkeypatch):
+        sizes = []
+        real = seeding.pcg64_seeds
+        monkeypatch.setattr(seeding, "pcg64_seeds", lambda e: sizes.append(len(e[0])) or real(e))
+        seeding._replication_block.cache_clear()
+        scenario = load_scenario(bundled_path("timing.yaml"))
+        for sc in (scenario, scenario.without_attack()):
+            sc.run_replication(seeding.REP_BLOCK + 3, 11)
+        n = len(seeding.FIRST_IDS)
+        # Later item blocks (128 seeds on) may follow; no replication hashes
+        # a first block of its own.
+        assert [k for k in sizes if k <= n or k == seeding.REP_BLOCK * n] == [
+            seeding.REP_BLOCK, seeding.REP_BLOCK * n
+        ]
+        assert seeding._replication_block.cache_info().misses == 1
+
+    def test_cached_rows_are_read_only(self):
+        factory = StreamFactory(101, 5)
+        _, rows = seeding._replication_block(101, 0)
+        assert not rows.flags.writeable
+        for stream_id in (*NAMED, 1_000_001, 1_000_064):
+            state = factory._seeds.get(stream_id)._state
+            assert not state.flags.writeable and state.flags.c_contiguous
+            with pytest.raises(ValueError):
+                state[0] = 0
+
+    def test_threads_missing_together_get_equal_seeds(self):
+        # Two base seeds in turn evict the one cached block all the time.
+        cases = [(base, k) for k in range(0, 4 * seeding.REP_BLOCK, 7) for base in (3, 2**40)]
+        want = {case: _replication_seed(*case) for case in cases}
+        got, errors = {}, []
+
+        def work(offset):
+            try:
+                for case in cases[offset:] + cases[:offset]:
+                    factory = StreamFactory(*case)
+                    state = factory.stream(StreamFactory.ARRIVALS)._gen.bit_generator.state
+                    got.setdefault(case, set()).add((factory._rep_seed, str(state)))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for case, seen in got.items():
+            ref = str(_reference_state(want[case], StreamFactory.ARRIVALS))
+            assert seen == {(want[case], ref)}
+        assert set(got) == set(cases)
 
 
 class _StubScenario:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -52,6 +53,17 @@ class TestCollect:
         assert m.corrupted_fraction == 0.0
         assert m.attack_duration_s == 0.0
         assert m.plans_completed == 2
+
+    def test_zero_blocked_time_is_shared_and_keeps_its_type(self):
+        # Rows kept by the thousand hold one zero object, not a float each;
+        # the written value is unchanged: 0.0, or 0 for a mission of no tasks.
+        zero = 0.0
+        rows = [collect(result([item(1, "completed_clean")], {"t1": zero, "t2": zero}))
+                for _ in range(3)]
+        assert all(m.blocked_s is zero for m in rows)
+        assert metrics_csv(rows) == metrics_csv([dataclasses.replace(m, blocked_s=0.0) for m in rows])
+        empty = collect(result([item(1, "completed_clean")], {}))
+        assert type(empty.blocked_s) is int and empty.blocked_s == 0
 
     def test_all_items_corrupted(self):
         m = collect(result([item(k, "completed_corrupted") for k in range(4)]))

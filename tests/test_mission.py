@@ -4,10 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from miakit import infrastructure as infrastructure_mod
 from miakit import kernel as kernel_mod
 from miakit import mission as mission_mod
+from miakit import scenario as scenario_mod
+from miakit import threat as threat_mod
 from miakit.fields import ValidationError
-from miakit.infrastructure import AssetState, build_graph, set_state
+from miakit.infrastructure import AssetState, build_graph, effective_performance_all, set_state
 from miakit.kernel import Distribution, Simulator, StreamFactory
 from miakit.mission import (
     CyclicPrecedence,
@@ -23,6 +26,8 @@ from miakit.mission import (
     simulate_mission,
     validate_mission,
 )
+from miakit.scenario import bundled_path, load_scenario
+from tests.test_infrastructure import STATES, graph_documents
 
 
 def task(tid, duration, role="planner", requires=(), after=(), rework=60.0):
@@ -533,3 +538,58 @@ class TestTaintCounts:
         waiting = sum(len(q) for k, q in enumerate(runtime.queues) if runtime.factors[k] > 0)
         assert waiting == 0
         assert len(started) == len(runtime.runs)
+
+
+@st.composite
+def bound_missions(draw):
+    """A graph document (cycles, any-of groups), tasks bound to some of its
+    assets, and a sequence of state changes."""
+    doc = draw(graph_documents())
+    ids = [a["id"] for a in doc["assets"]]
+    requires = draw(st.lists(st.lists(st.sampled_from(ids), max_size=3), min_size=1, max_size=4))
+    changes = draw(st.lists(st.tuples(st.sampled_from(ids), STATES), max_size=20))
+    return doc, requires, changes
+
+
+class TestPerformanceRead:
+    """A task's factor is read from its own assets, not from a copy of the
+    whole performance map, and must still equal the map's minimum over
+    them after every state change."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bound_missions())
+    def test_task_factors_follow_the_whole_map(self, case):
+        doc, requires, changes = case
+        graph = build_graph(doc)
+        tasks = [task(f"t{k}", 10, requires=req) for k, req in enumerate(requires)]
+        s = validate_mission(spec(tasks, 1000.0, personnel={"planner": 100}), graph)
+        runtime = MissionRuntime(s, graph, Simulator(), StreamFactory(0)).install()
+        required = {t.id: t.required_assets for t in s.tasks}
+
+        def assert_factors():
+            perf = effective_performance_all(graph)
+            want = [min((perf[a] for a in required[tid]), default=1.0)
+                    for tid in runtime.index.task_ids]
+            assert runtime.factors == want
+
+        assert_factors()
+        for t, (asset, state) in enumerate(changes):
+            set_state(graph, asset, state, float(t))
+            assert_factors()
+
+    def test_a_replication_never_copies_the_map(self, monkeypatch):
+        copies, refreshes = [], []
+        real_copy = effective_performance_all
+        for module in (infrastructure_mod, mission_mod, scenario_mod, threat_mod):
+            if hasattr(module, "effective_performance_all"):
+                monkeypatch.setattr(module, "effective_performance_all",
+                                    lambda graph: copies.append(graph) or real_copy(graph))
+        real_refresh = MissionRuntime._refresh_factors
+        monkeypatch.setattr(MissionRuntime, "_refresh_factors",
+                            lambda self, initial=False: refreshes.append(initial)
+                            or real_refresh(self, initial))
+        scenario = load_scenario(bundled_path("timing.yaml"))
+        for sc in (scenario, scenario.without_attack()):
+            sc.run_replication(0, 7)
+        assert False in refreshes  # the attack changed a state the mission reads
+        assert copies == []
