@@ -131,19 +131,32 @@ def cmd_discover(args: argparse.Namespace) -> int:
 # simulate
 
 
+class _Variants:
+    """Replication k of each variant, one after the other: the runs after the
+    first read the arrivals and durations it drew (see ``MissionIndex.draws``)."""
+
+    def __init__(self, *variants):
+        self.variants = variants
+
+    def run_replication(self, replication: int, base_seed: int) -> list:
+        return [v.run_replication(replication, base_seed) for v in self.variants]
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     n = args.replications if args.replications is not None else scenario.replications
     seed = args.seed if args.seed is not None else scenario.base_seed
 
-    results = run_replications(scenario, n, seed)
+    variants = (scenario, scenario.without_attack()) if args.baseline else (scenario,)
+    runs = run_replications(_Variants(*variants), n, seed)
+    results = [run[0] for run in runs]
     _write(args.out, metrics.metrics_csv(results))
     summary = metrics.aggregate(results)
     print(f"scenario: {args.scenario} (replications={n}, base_seed={seed})")
     print(metrics.summary_text(summary, title="attack" if scenario.attacker else "mission"), end="")
 
     if args.baseline:
-        base = run_replications(scenario.without_attack(), n, seed)
+        base = [run[1] for run in runs]
         base_path = args.out + ".baseline.csv"
         _write(base_path, metrics.metrics_csv(base))
         base_summary = metrics.aggregate(base)

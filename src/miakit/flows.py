@@ -214,23 +214,27 @@ def _block_columns(lines: list[str], limit: int) -> list | None:
     return columns
 
 
-def _pieces(block: list[str], line_no: int, parsed: list | None, limit: int) -> Iterator:
+def _pieces(block: list[str], line_no: int, parsed: list | None, limit: int,
+            halve: bool = True) -> Iterator:
     """``block``, its first line ``line_no``, as (lines, first line,
     columns) pieces in line order.  ``parsed`` is the block's columns, or
-    None when it failed: then its halves are tried, and it is one piece with
-    no columns, to be read line by line, when it is at most ``_PIECE_LINES``
-    lines or both halves fail too (its bad lines are dense, and smaller
-    pieces would only fail again)."""
+    None when it failed: then its halves are tried, unless ``halve`` is
+    false.  A failed piece of at most ``_PIECE_LINES`` lines is one piece
+    with no columns, to be read line by line; a larger one whose halves are
+    not tried or both fail is two such pieces, its halves (its bad lines are
+    dense, and smaller pieces would only fail again)."""
     if parsed is not None:
         yield block, line_no, parsed
         return
+    if len(block) <= _PIECE_LINES:
+        yield block, line_no, None
+        return
     half = len(block) // 2
     halves = ((block[:half], line_no), (block[half:], line_no + half))
-    tried = [None, None]
-    if len(block) > _PIECE_LINES:
-        tried = [_block_columns(piece, limit) for piece, _ in halves]
+    tried = [_block_columns(piece, limit) for piece, _ in halves] if halve else [None, None]
     if tried == [None, None]:
-        yield block, line_no, None
+        for piece, start in halves:
+            yield piece, start, None
         return
     for (piece, start), columns in zip(halves, tried):
         yield from _pieces(piece, start, columns, limit)
@@ -254,10 +258,12 @@ def parse_flows(
     check, is tried again in halves.  A piece of at most ``_PIECE_LINES``
     lines that fails, or one whose halves both fail, is read line by line
     with :func:`csv.reader`.  Pieces are kept in line order, so a bad line
-    is met in file order.  A text holding a quote, a carriage return or a
-    NUL is read line by line throughout.  Equal host and protocol strings
-    are held once.  The log's :class:`ChannelIndex` is built from the
-    columns, once.
+    is met in file order.  A failed block is not tried in halves when the
+    last block that had bad or blank lines had them in both halves: where
+    bad lines are that dense, both halves would fail as well.  A text
+    holding a quote, a carriage return or a NUL is read line by line
+    throughout.  Equal host and protocol strings are held once.  The log's
+    :class:`ChannelIndex` is built from the columns, once.
     """
     if isinstance(source, str):
         text = source if "\n" in source else read_text(source)
@@ -290,13 +296,21 @@ def parse_flows(
             lines.pop()
         _check_header(lines[0] if lines else "")
         limit = csv.field_size_limit()
+        dense = False
         for start in range(1, len(lines), _BLOCK_LINES):
             block = lines[start : start + _BLOCK_LINES]
-            pieces = _pieces(block, start + 1, _block_columns(block, limit), limit)
+            pieces = _pieces(block, start + 1, _block_columns(block, limit), limit, not dense)
+            # Which halves of the block held a line that gave no record.
+            irregular = set()
             for piece, line_no, parsed in pieces:
                 if parsed is None:
-                    parsed = _transposed(_check_rows(csv.reader(piece), line_no, strict, malformed))
+                    rows = _check_rows(csv.reader(piece), line_no, strict, malformed)
+                    if len(rows) < len(piece):
+                        irregular.add(line_no - start - 1 >= len(block) // 2)
+                    parsed = _transposed(rows)
                 keep(parsed)
+            if irregular:
+                dense = len(irregular) == 2
     log = tuple.__new__(FlowLog, records)
     log.by_channel = ChannelIndex(*columns)
     return log

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .fields import ValidationError
 from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance
@@ -160,14 +160,32 @@ def validate_mission(
     return replace(spec, tasks=tuple(ordered))
 
 
+class ReplicationDraws(NamedTuple):
+    """What one replication draws outside the model's control: the arrival
+    times (each the one before plus a gap from the arrivals stream, up to
+    the arrival cutoff) and each item's task durations, item ``i`` at
+    ``durations[i - 1]``.  The attack and attack-free runs of a replication
+    draw the same values, so one run draws them and the other reads them."""
+
+    arrivals: tuple[float, ...]
+    durations: tuple[tuple[float, ...], ...]
+
+
 class MissionIndex:
     """A mission spec's tasks and roles as integers, for the runtime.
 
     Task ``i`` is the i-th task of the spec (its workflow order, so the next
     task is ``i + 1``); role ``r`` is the r-th key of ``personnel``.
+
+    The index also keeps the last replication's :class:`ReplicationDraws`,
+    keyed by (base seed, replication); see :meth:`draws`.
     """
 
     def __init__(self, spec: MissionSpec):
+        self.arrivals = spec.arrivals
+        self.arrival_end = (
+            spec.horizon if spec.arrival_cutoff is None else min(spec.arrival_cutoff, spec.horizon)
+        )
         self.task_ids = tuple(t.id for t in spec.tasks)
         self.roles = tuple(spec.personnel)
         self.headcount = tuple(spec.personnel[r] for r in self.roles)
@@ -185,6 +203,34 @@ class MissionIndex:
             for asset in dict.fromkeys(assets):
                 needing.setdefault(asset, []).append(i)
         self.tasks_needing = {a: tuple(ts) for a, ts in needing.items()}
+        self._draws: tuple[tuple[int, int], ReplicationDraws] | None = None
+
+    def draws(self, streams: StreamFactory) -> tuple[ReplicationDraws, list | None]:
+        """The draws of ``streams``' replication, and the items' streams,
+        item ``i`` at ``i - 1``, past their duration draws, when this call
+        drew them; None when they came from the cache.
+
+        The cache holds one entry, replaced by a call with another key.  An
+        entry is a function of its key alone and is never changed once
+        stored, so threads that miss together store equal entries.
+        """
+        key = (streams.base_seed, streams.replication)
+        cached = self._draws
+        if cached is not None and cached[0] == key:
+            return cached[1], None
+        arrival_stream = streams.stream(StreamFactory.ARRIVALS)
+        arrivals = []
+        at = sample(self.arrivals, arrival_stream)
+        while at <= self.arrival_end:
+            arrivals.append(at)
+            at += sample(self.arrivals, arrival_stream)
+        item_streams = [streams.item_stream(i) for i in range(1, len(arrivals) + 1)]
+        durations = tuple(
+            tuple([sample(d, stream) for d in self.durations]) for stream in item_streams
+        )
+        drawn = ReplicationDraws(tuple(arrivals), durations)
+        self._draws = (key, drawn)
+        return drawn, item_streams
 
 
 def compute_utilization(spec: MissionSpec) -> dict:
@@ -215,8 +261,11 @@ def apply_checkpoint(items: Iterable[WorkItem]) -> list[WorkItem]:
 class WorkItem:
     """A work item (plan): the runtime's live record, and the one the run
     reports.  ``task`` indexes ``task_ids`` (their count once done), and the
-    per-task work figures are lists in that order; ``current_task`` and
-    ``work`` are read-only views of them, computed on each read.
+    per-task work figures are in that order: ``sampled`` is the replication's
+    tuple of drawn durations, the others are lists; ``current_task`` and
+    ``work`` are read-only views of them, computed on each read.  ``stream``
+    is the item's random stream, for its rework draws, or None until a run
+    that read the durations from the cache needs it.
 
     While the item is being worked on, it also holds its run state: when a
     person took it up (``seized_at``), when its progress was last credited
@@ -232,7 +281,7 @@ class WorkItem:
         "seized_at", "last_update", "factor", "generation",
     )
 
-    def __init__(self, item_id: int, created_at: float, task_ids: tuple, sampled: list, stream):
+    def __init__(self, item_id: int, created_at: float, task_ids: tuple, sampled: tuple, stream):
         self.id = item_id
         self.created_at = created_at
         self.task_ids = task_ids
@@ -245,7 +294,7 @@ class WorkItem:
         self.sampled = sampled
         self.rework = [0.0] * len(sampled)
         self.processed = [0.0] * len(sampled)
-        self.remaining = sampled[:]
+        self.remaining = list(sampled)
         self.seized_at = 0.0
         self.last_update = 0.0
         self.factor = 0.0
@@ -291,7 +340,6 @@ class MissionRuntime:
         self.graph = graph
         self.sim = sim
         self.streams = streams
-        self.arrival_stream = streams.stream(StreamFactory.ARRIVALS)
         self.index = ix = spec.index
         n = len(ix.task_ids)
 
@@ -312,9 +360,8 @@ class MissionRuntime:
         self.checkpoint_log: list = []
         self._task_start_hooks: list[Callable[[str, int, float], None]] = []
         self._next_item = 1
-        self._arrival_end = (
-            spec.horizon if spec.arrival_cutoff is None else min(spec.arrival_cutoff, spec.horizon)
-        )
+        self._draws = ReplicationDraws((), ())
+        self._item_streams: list | None = None
         self._finalized = False
 
     # -- wiring --------------------------------------------------------------
@@ -327,9 +374,9 @@ class MissionRuntime:
             for assets in self.index.required
         ]
         self._refresh_factors(initial=True)
-        first = sample(self.spec.arrivals, self.arrival_stream)
-        if first <= self._arrival_end:
-            self.sim.schedule("arrival", first, self._arrive)
+        self._draws, self._item_streams = self.index.draws(self.streams)
+        if self._draws.arrivals:
+            self.sim.schedule("arrival", self._draws.arrivals[0], self._arrive)
         day_count = int(self.spec.horizon // self.spec.day_length) + 1
         for day in range(day_count):
             base = day * self.spec.day_length
@@ -374,9 +421,10 @@ class MissionRuntime:
         ix = self.index
         item_id = self._next_item
         self._next_item = item_id + 1
-        stream = self.streams.item_stream(item_id)
-        sampled = [sample(d, stream) for d in ix.durations]
-        item = WorkItem(item_id, now, ix.task_ids, sampled, stream)
+        draws = self._draws
+        streams = self._item_streams
+        stream = None if streams is None else streams[item_id - 1]
+        item = WorkItem(item_id, now, ix.task_ids, draws.durations[item_id - 1], stream)
         self.items[item_id] = item
         self.queues[0].append(item)
         if self.spec.deadline_per_item is not None:
@@ -389,9 +437,8 @@ class MissionRuntime:
             )
         if self.free[ix.task_role[0]] > 0 and self.factors[0] > 0:
             self._dispatch_task(0)
-        nxt = now + sample(self.spec.arrivals, self.arrival_stream)
-        if nxt <= self._arrival_end:
-            sim.schedule("arrival", nxt, self._arrive)
+        if item_id < len(draws.arrivals):
+            sim.schedule("arrival", draws.arrivals[item_id], self._arrive)
 
     def _dispatch_role(self, role: int) -> None:
         free = self.free
@@ -486,7 +533,7 @@ class MissionRuntime:
         if item.tainted and self.awareness:
             # Aware personnel re-validate on the spot instead of handing
             # corrupted output downstream.
-            drawn = sample(ix.reworks[task], item.stream)
+            drawn = self._draw_rework(item, task)
             if drawn > 0:
                 item.tainted = False
                 item.rework[task] += drawn
@@ -537,6 +584,19 @@ class MissionRuntime:
 
     # -- rework and checkpoints ------------------------------------------------
 
+    def _draw_rework(self, item: WorkItem, task: int) -> float:
+        """``item``'s rework effort at ``task``, from the item's stream.  An
+        item whose durations were read from the cache gets its stream at its
+        first rework that is not fixed, moved past its duration draws by
+        drawing them again."""
+        dist = self.index.reworks[task]
+        stream = item.stream
+        if stream is None and dist.kind != "fixed":
+            stream = item.stream = self.streams.item_stream(item.id)
+            for duration in self.index.durations:
+                sample(duration, stream)
+        return sample(dist, stream)
+
     def _add_rework(self, item: WorkItem) -> None:
         """Charge the item's current task with its rework effort."""
         if item.completed_at is not None:
@@ -545,14 +605,14 @@ class MissionRuntime:
             item.completed_at = None
             if item in self.completed_today:
                 self.completed_today.remove(item)
-            drawn = sample(self.index.reworks[last], item.stream)
+            drawn = self._draw_rework(item, last)
             item.rework[last] += drawn
             item.remaining[last] += drawn
             self.queues[last].append(item)
             self._dispatch_task(last)
             return
         task = item.task
-        drawn = sample(self.index.reworks[task], item.stream)
+        drawn = self._draw_rework(item, task)
         item.rework[task] += drawn
         item.remaining[task] += drawn
         if item.id in self.runs:
@@ -652,15 +712,3 @@ class MissionRuntime:
             awareness_time=self.awareness_time,
             checkpoint_log=list(self.checkpoint_log),
         )
-
-
-def simulate_mission(
-    spec: MissionSpec,
-    graph: InfrastructureGraph,
-    kernel: Simulator,
-    streams: StreamFactory,
-) -> MissionResult:
-    """Validate ``spec`` and run the mission alone (no adversary) to its horizon."""
-    runtime = MissionRuntime(validate_mission(spec, graph), graph, kernel, streams).install()
-    kernel.run_until(spec.horizon)
-    return runtime.finalize()

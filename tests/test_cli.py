@@ -17,7 +17,7 @@ from miakit import scenario as scenario_mod
 from miakit import synth
 from miakit.cli import main
 from miakit.flows import FLOW_HEADER, bin_activity, parse_flows
-from miakit.kernel import Distribution
+from miakit.kernel import Distribution, StreamFactory
 from miakit.scenario import (
     ValidationError,
     bundled_path,
@@ -606,6 +606,28 @@ class TestCliSimulate:
         captured = capsys.readouterr().out
         assert "percent_reduction_plans_completed" in captured
         assert (tmp_path / "m.csv.baseline.csv").exists()
+
+    def test_baseline_runs_read_the_draws_of_their_attack_runs(self, tmp_path, monkeypatch):
+        """With --baseline, replication k's attack-free run follows its attack
+        run and reads its draws: the item streams built are the attack
+        runs' alone, and the attack rows are those of a run without it."""
+        built = []
+        real = StreamFactory.item_stream
+
+        def item_stream(self, item_id):
+            built.append((self.replication, item_id))
+            return real(self, item_id)
+
+        monkeypatch.setattr(StreamFactory, "item_stream", item_stream)
+        streams = []
+        for flags in ([], ["--baseline"]):
+            built.clear()
+            rc = main(["simulate", "--scenario", bundled_path("timing.yaml"), "--replications",
+                       "3", "--seed", "4", "--out", str(tmp_path / f"m{len(flags)}.csv")] + flags)
+            assert rc == 0
+            streams.append(list(built))
+        assert streams[0] and streams[1] == streams[0]
+        assert (tmp_path / "m0.csv").read_bytes() == (tmp_path / "m1.csv").read_bytes()
 
     def test_negative_duration_is_one_error_line(self, tmp_path, capsys):
         doc = yaml.safe_load(yaml.safe_dump(MINIMAL))

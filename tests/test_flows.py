@@ -610,6 +610,44 @@ class TestBlockParsing:
         assert read and all(line_no <= 702 < line_no + n <= line_no + flows._PIECE_LINES
                             for line_no, n in read)
 
+    # One block per letter: "d" has a bad line every ten lines, "o" one bad
+    # line, "c" none.  A block after a "d" block is read line by line
+    # without trying its halves, until a block's bad lines sit in one half.
+    @pytest.mark.parametrize("layout,halved", [
+        ("dddd", [True, False, False, False]),
+        ("oooo", [True, True, True, True]),
+        ("doo", [True, False, True]),
+        ("dco", [True, None, False]),
+    ])
+    def test_dense_bad_lines_stop_the_halving(self, monkeypatch, layout, halved):
+        size = flows._BLOCK_LINES
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1"
+                 for k in range(size * len(layout))]
+        for b, kind in enumerate(layout):
+            bad = {"d": range(5, size, 10), "o": [size // 3], "c": []}[kind]
+            for i in bad:
+                lines[b * size + i] += ",9"
+        text = "\n".join([FLOW_HEADER] + lines) + "\n"
+        self.check(text, False)
+        tried = []
+        real = flows._block_columns
+
+        def spy(block, limit):
+            tried.append(len(block))
+            return real(block, limit)
+
+        monkeypatch.setattr(flows, "_block_columns", spy)
+        parse_flows(text, strict=False)
+        # The pieces tried after each whole block, by block.
+        per_block = []
+        for n in tried:
+            if n == size:
+                per_block.append([])
+            else:
+                per_block[-1].append(n)
+        assert len(per_block) == len(layout)
+        assert [bool(p) if kind != "c" else None for kind, p in zip(layout, per_block)] == halved
+
     def test_a_parse_leaves_no_reference_cycle(self):
         # Objects in a cycle wait for the cyclic collector: a parse that left
         # one would hold its working lists, and the records, past its return.

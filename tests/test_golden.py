@@ -7,16 +7,26 @@ deadlines, several roles with more than one person), runs attack and
 attack-free replications 0-3 with ``record_trace=True``.  Any change to the
 mission runtime, the event loop or the random streams that shifts a single
 event, draw or float shows up here.
+
+The runs of one replication share its arrival and duration draws, which the
+first of them makes (``MissionIndex.draws``), so the replications are also
+replayed in orders where the attack-free run of k, or the attack run of k,
+reads what the other drew; every order gives the same digests.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from miakit.kernel import trace_lines
+from miakit.kernel import StreamFactory, trace_lines
 from miakit.scenario import bundled_path, read_yaml, scenario_from_dict
 
 REPS = range(4)
@@ -131,18 +141,38 @@ def _result_text(result) -> str:
     return "\n".join(lines)
 
 
-def replay_digests(doc: dict) -> dict[str, str]:
-    """SHA-256 of the traces, metrics and mission results of attack and
-    attack-free replications 0-3 of ``doc`` with ``record_trace=True``."""
+def _replay(scenario, k: int) -> tuple[str, str, str]:
+    """The trace, metrics and mission result of replication ``k``, as text."""
+    m, result, _, trace = scenario.run_detailed(k, SEED, record_trace=True)
+    return trace_lines(trace), repr(m), _result_text(result)
+
+
+# The (variant, replication) calls of a replay: all attack runs then all
+# attack-free ones, each run of k after the other of k, or the attack-free
+# run of k first.
+ORDERS = {
+    "by_variant": [(label, k) for label in ("attack", "baseline") for k in REPS],
+    "interleaved": [(label, k) for k in REPS for label in ("attack", "baseline")],
+    "reversed": [(label, k) for k in REPS for label in ("baseline", "attack")],
+}
+
+
+def _variants(doc: dict) -> dict:
     attack = scenario_from_dict(copy.deepcopy(doc))
+    return {"attack": attack, "baseline": attack.without_attack()}
+
+
+def replay_digests(doc: dict, order: str = "by_variant") -> dict[str, str]:
+    """SHA-256 of the traces, metrics and mission results of attack and
+    attack-free replications 0-3 of ``doc`` with ``record_trace=True``, run
+    in the ``order`` of :data:`ORDERS` on one loaded scenario."""
+    variants = _variants(doc)
+    runs: dict = {label: {} for label in variants}
+    for label, k in ORDERS[order]:
+        runs[label][k] = _replay(variants[label], k)
     out = {}
-    for label, scenario in (("attack", attack), ("baseline", attack.without_attack())):
-        traces, metrics, results = [], [], []
-        for k in REPS:
-            m, result, _, trace = scenario.run_detailed(k, SEED, record_trace=True)
-            traces.append(trace_lines(trace))
-            metrics.append(repr(m))
-            results.append(_result_text(result))
+    for label, by_k in runs.items():
+        traces, metrics, results = zip(*(by_k[k] for k in REPS))
         for kind, parts in (("trace", traces), ("metrics", metrics), ("items", results)):
             text = "\n--\n".join(parts)
             out[f"{label}.{kind}"] = hashlib.sha256(text.encode()).hexdigest()
@@ -213,3 +243,83 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_replay_matches_golden_digests(name):
     assert replay_digests(DOCUMENTS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("order", ["interleaved", "reversed"])
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_replay_in_other_orders_matches_golden_digests(name, order):
+    assert replay_digests(DOCUMENTS[name](), order) == GOLDEN[name]
+
+
+def test_attack_run_after_its_baseline_builds_streams_only_for_drawn_reworks(monkeypatch):
+    """In the reversed order the attack run reads the durations its
+    attack-free run drew; its items get a stream only for a rework that is
+    not fixed (workweek's draft and approve tasks)."""
+    variants = _variants(_workweek())
+    built = []
+    real = StreamFactory.item_stream
+
+    def item_stream(self, item_id):
+        built.append(item_id)
+        return real(self, item_id)
+
+    monkeypatch.setattr(StreamFactory, "item_stream", item_stream)
+    _, result, _, _ = variants["baseline"].run_detailed(0, SEED)
+    assert len(built) == len(result.items)
+    built.clear()
+    _, result, _, _ = variants["attack"].run_detailed(0, SEED)
+    reworked = {item.id for item in result.items if item.rework[2] or item.rework[4]}
+    assert reworked
+    assert set(built) == reworked
+    assert len(built) == len(reworked)
+
+
+def _small(name: str) -> dict:
+    """A golden document cut to a shorter horizon, for the property below."""
+    doc = DOCUMENTS[name]()
+    doc["sim"]["horizon"] = "16h"
+    return doc
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh(name: str, label: str, k: int) -> tuple[str, str, str]:
+    """Replication ``k`` of the ``label`` variant on a freshly loaded scenario."""
+    return _replay(_variants(_small(name))[label], k)
+
+
+CALLS = st.lists(
+    st.tuples(st.sampled_from(["attack", "baseline"]), st.integers(0, 2)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["checkpoint_aware", "workweek"]), calls=CALLS)
+def test_any_call_order_matches_fresh_runs(name, calls):
+    variants = _variants(_small(name))
+    for label, k in calls:
+        assert _replay(variants[label], k) == _fresh(name, label, k)
+
+
+def test_two_threads_sharing_a_scenario_match_fresh_runs():
+    """Two threads run the same replications of one loaded scenario in
+    opposite variant orders, so they miss on, replace and read the one
+    cached entry in every interleaving the switch interval allows."""
+    name = "workweek"
+    variants = _variants(_small(name))
+    orders = [ORDERS["interleaved"][:6], ORDERS["reversed"][:6]]
+
+    def replay(order):
+        return [(label, k, _replay(variants[label], k)) for label, k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(replay, order) for order in orders]
+            done = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in done:
+        assert len(runs) == 6
+        for label, k, got in runs:
+            assert got == _fresh(name, label, k)

@@ -23,7 +23,6 @@ from miakit.mission import (
     WorkItem,
     apply_checkpoint,
     compute_utilization,
-    simulate_mission,
     validate_mission,
 )
 from miakit.scenario import bundled_path, load_scenario
@@ -59,9 +58,14 @@ def plain_graph(*asset_ids):
 
 
 def run(mission_spec, graph=None, seed=0):
+    """Validate ``mission_spec`` and run it alone (no adversary) to its
+    horizon, wired as ``Scenario.run_detailed`` wires a replication."""
     graph = graph or plain_graph("sys")
+    mission_spec = validate_mission(mission_spec, graph)
     sim = Simulator()
-    return simulate_mission(mission_spec, graph, sim, StreamFactory(seed)), graph, sim
+    runtime = MissionRuntime(mission_spec, graph, sim, StreamFactory(seed)).install()
+    sim.run_until(mission_spec.horizon)
+    return runtime.finalize(), graph, sim
 
 
 class TestValidate:
