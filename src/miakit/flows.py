@@ -113,7 +113,7 @@ _NO_TS = np.empty(0, dtype=np.int64)
 
 def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
     # Every rule bounds one field on its own, so a block of lines passes when
-    # rows made of its columns' minima and maxima pass (see _block_columns).
+    # rows made of its columns' minima and maxima pass (see _in_range).
     if len(fields) != 8:
         raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
     try:
@@ -187,57 +187,106 @@ def _check_rows(
         line_no += 1
 
 
-def _block_columns(lines: list[str], limit: int) -> list | None:
-    """The eight columns of ``lines`` when no line is longer than ``limit``
-    and every line has exactly eight fields that pass the line rules; None
-    otherwise."""
+# A row that passes every line rule, into which _in_range puts one value.
+_PASSING_ROW = (0, "", 0, "", 0, "tcp", 0, 1)
+
+
+def _in_range(k: int, column: list[int]) -> bool:
+    """Whether every value of field ``k``'s converted ``column`` passes the
+    line rules: its extremes do, each in an otherwise passing row."""
+    row = list(_PASSING_ROW)
+    try:
+        for value in (min(column), max(column)):
+            row[k] = value
+            _check_fields(row, 0)
+    except MalformedLine:
+        return False
+    return True
+
+
+def _check_columns(columns: list, failed: int | None = None) -> int | None:
+    """Convert the integer fields of a piece's eight ``columns`` in place,
+    checking each one's extremes as soon as it is converted, and return the
+    position in ``_INT_FIELDS`` of the first that fails them, or None.  A
+    value that is no integer raises ValueError.  ``failed`` is such a
+    position from a larger piece that held this one: the fields before it
+    pass and it is converted already, so it is only checked again."""
+    for n in range(failed or 0, len(_INT_FIELDS)):
+        k = _INT_FIELDS[n]
+        if n != failed:
+            columns[k] = list(map(int, columns[k]))
+        if not _in_range(k, columns[k]):
+            return n
+    return None
+
+
+def _block_columns(lines: list[str], limit: int) -> tuple[list | None, int | None]:
+    """``lines`` as their eight columns and the failed position that
+    :func:`_check_columns` gives them: the columns are the block's records
+    when it is None.  The columns are None instead when a line is longer
+    than ``limit``, has not eight fields, or has a field that fails its
+    rule before any range is checked (a protocol, or an integer that does
+    not read)."""
     if max(map(len, lines)) > limit:
-        return None
+        return None, None
     # Each line boundary becomes a field "\n" of its own, which must fall
     # after every eighth field.
     fields = ",\n,".join(lines).split(",")
     if len(fields) != 9 * len(lines) - 1 or fields[8::9].count("\n") != len(lines) - 1:
-        return None
+        return None, None
     columns = [fields[k::9] for k in range(8)]
     try:
-        # The protocols first: they cost least to check, and a block that
-        # fails is tried again in halves.
+        # The protocols first: they cost least to check.
         for proto in set(columns[5]):
             _check_fields((0, "", 0, "", 0, proto, 0, 1), 0)
-        for k in _INT_FIELDS:
-            columns[k] = list(map(int, columns[k]))
-        for pick in (min, max):
-            ts_us, src_port, dst_port, nbytes, packets = (pick(columns[k]) for k in _INT_FIELDS)
-            _check_fields((ts_us, "", src_port, "", dst_port, "tcp", nbytes, packets), 0)
+        return columns, _check_columns(columns)
     except (ValueError, MalformedLine):
-        return None
-    return columns
+        return None, None
 
 
-def _pieces(block: list[str], line_no: int, parsed: list | None, limit: int,
+def _half_columns(columns: list, failed: int, rows: slice) -> tuple[list | None, int | None]:
+    """The ``rows`` of a piece whose field at ``failed`` failed its range,
+    checked as :func:`_block_columns` checks a block, from the piece's own
+    columns: no line is split or field converted twice."""
+    half = [column[rows] for column in columns]
+    try:
+        return half, _check_columns(half, failed)
+    except ValueError:
+        return None, None
+
+
+def _pieces(block: list[str], line_no: int, tried: tuple, limit: int,
             halve: bool = True) -> Iterator:
     """``block``, its first line ``line_no``, as (lines, first line,
-    columns) pieces in line order.  ``parsed`` is the block's columns, or
-    None when it failed: then its halves are tried, unless ``halve`` is
-    false.  A failed piece of at most ``_PIECE_LINES`` lines is one piece
-    with no columns, to be read line by line; a larger one whose halves are
-    not tried or both fail is two such pieces, its halves (its bad lines are
-    dense, and smaller pieces would only fail again)."""
-    if parsed is not None:
-        yield block, line_no, parsed
+    columns) pieces in line order.  ``tried`` is what :func:`_block_columns`
+    gave the block: when its columns are not the records, its halves are
+    tried, unless ``halve`` is false, from the block's columns when a range
+    failed and by splitting their lines otherwise.  A failed piece of at
+    most ``_PIECE_LINES`` lines is one piece with no columns, to be read
+    line by line; a larger one whose halves are not tried or both fail is
+    two such pieces, its halves (its bad lines are dense, and smaller
+    pieces would only fail again)."""
+    columns, failed = tried
+    if columns is not None and failed is None:
+        yield block, line_no, columns
         return
     if len(block) <= _PIECE_LINES:
         yield block, line_no, None
         return
     half = len(block) // 2
     halves = ((block[:half], line_no), (block[half:], line_no + half))
-    tried = [_block_columns(piece, limit) for piece, _ in halves] if halve else [None, None]
-    if tried == [None, None]:
+    if not halve:
+        attempts = [(None, None)] * 2
+    elif columns is None:
+        attempts = [_block_columns(piece, limit) for piece, _ in halves]
+    else:
+        attempts = [_half_columns(columns, failed, rows) for rows in (slice(half), slice(half, None))]
+    if all(c is None or f is not None for c, f in attempts):
         for piece, start in halves:
             yield piece, start, None
         return
-    for (piece, start), columns in zip(halves, tried):
-        yield from _pieces(piece, start, columns, limit)
+    for (piece, start), attempt in zip(halves, attempts):
+        yield from _pieces(piece, start, attempt, limit)
 
 
 def parse_flows(
@@ -254,8 +303,10 @@ def parse_flows(
 
     The text is read in blocks of ``_BLOCK_LINES`` lines.  A block whose
     lines all have eight fields is split and converted column by column, and
-    its columns' extremes are checked; any other block, or one that fails a
-    check, is tried again in halves.  A piece of at most ``_PIECE_LINES``
+    each column's extremes are checked as soon as it is converted; any
+    other block, or one that fails a check, is tried again in halves.  The
+    halves of a block that failed a range are cut from its split and
+    converted columns.  A piece of at most ``_PIECE_LINES``
     lines that fails, or one whose halves both fail, is read line by line
     with :func:`csv.reader`.  Pieces are kept in line order, so a bad line
     is met in file order.  A failed block is not tried in halves when the

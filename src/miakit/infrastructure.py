@@ -299,8 +299,9 @@ class InfrastructureGraph:
         self.require(asset_id)
         return self._in[asset_id]
 
-    def end_user_nodes(self) -> list[str]:
-        return list(self.topology.end_users)
+    def end_user_nodes(self) -> tuple[str, ...]:
+        """The topology's end-user node ids, its own tuple (not a copy)."""
+        return self.topology.end_users
 
     def exploits_on(self, asset_id: str) -> frozenset[str]:
         return self.topology._exploits.get(asset_id, frozenset())

@@ -115,6 +115,22 @@ def sample(dist: Distribution, stream: "RngStream") -> float:
     return stream.triangular(p[0], p[1], p[2])
 
 
+def values_of_doubles(dist: Distribution, u: np.ndarray) -> np.ndarray:
+    """The values :func:`sample` draws from a uniform or triangular ``dist``
+    when its stream's ``random()`` doubles are ``u``, with the same floating
+    point operations, so each value is bit-identical to the drawn one."""
+    p = dist.params
+    if dist.kind == "uniform":
+        low, high = p
+        return low + (high - low) * u
+    low, mode, high = p
+    base = high - low
+    left = mode - low
+    lower = low + np.sqrt(u * (left * base))
+    upper = high - np.sqrt((1.0 - u) * ((high - mode) * base))
+    return np.where(u <= left / base, lower, upper)
+
+
 # ---------------------------------------------------------------------------
 # Random streams
 
@@ -192,8 +208,14 @@ class StreamFactory:
     def item_stream(self, item_id: int) -> RngStream:
         """Item ``item_id``'s stream: ``SeedSequence((rep_seed, 1_000_000 +
         item_id))``, whichever way its seed is computed."""
+        return RngStream(self._rep_seed, self._ITEM_BASE + item_id, self.item_seed(item_id))
+
+    def item_seed(self, item_id: int) -> Any:
+        """The seed sequence of item ``item_id``'s stream, for ``PCG64``:
+        precomputed where :mod:`miakit.seeding` has it."""
         stream_id = self._ITEM_BASE + item_id
-        return RngStream(self._rep_seed, stream_id, self._seeds.get(stream_id))
+        seed = self._seeds.get(stream_id)
+        return np.random.SeedSequence((self._rep_seed, stream_id)) if seed is None else seed
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +242,30 @@ class Simulator:
     its arguments instead of building a closure per event.  The
     dispatched-event trace is recorded when ``record_trace`` is set (replays
     of the same seeded scenario produce identical traces).
+
+    ``reserve`` takes a sequence id without scheduling anything; an event
+    scheduled later with ``seq=`` that id is dispatched where it would have
+    been had it been scheduled at the time of the reservation.  A model can
+    so leave out an event that would do nothing, and schedule it only once
+    it may do something, without moving any other event.  ``dispatching``
+    is the sequence id of the event being dispatched (-1 when no event at
+    ``now`` has been), and a reserved event that would have come before it
+    is refused as :class:`SchedulingInPast`.
     """
 
     def __init__(self, record_trace: bool = False):
         self.now = 0.0
+        self.dispatching = -1
         self.trace: list[Event] = []
         self.record_trace = record_trace
         self._queue: list[tuple[float, int, str, Callable[..., None] | None, tuple, tuple]] = []
         self._seq = 0
+
+    def reserve(self) -> int:
+        """A sequence id for an event to be scheduled later with ``seq=``."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def schedule(
         self,
@@ -236,13 +274,25 @@ class Simulator:
         fn: Callable[..., None] | None = None,
         data: tuple = (),
         args: tuple = (),
+        seq: int | None = None,
     ) -> int:
         if at < self.now:
             raise SchedulingInPast(f"cannot schedule {tag!r} at {at} (now {self.now})")
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        elif not self.precedes(self.now, self.dispatching, at, seq) or seq >= self._seq:
+            raise SchedulingInPast(
+                f"cannot schedule {tag!r} at ({at}, seq {seq}): not a reserved id after"
+                f" the event being dispatched ({self.now}, seq {self.dispatching})"
+            )
         heapq.heappush(self._queue, (float(at), seq, tag, fn, args, data))
         return seq
+
+    @staticmethod
+    def precedes(at: float, seq: int, other_at: float, other_seq: int) -> bool:
+        """Whether the event (at, seq) is dispatched before (other_at, other_seq)."""
+        return at < other_at or (at == other_at and seq < other_seq)
 
     def run_until(self, horizon: float) -> list[Event]:
         if horizon < self.now:
@@ -253,11 +303,14 @@ class Simulator:
         while queue and queue[0][0] <= horizon:
             t, seq, tag, fn, args, data = pop(queue)
             self.now = t
+            self.dispatching = seq
             if trace is not None:
                 trace.append(Event(t, seq, tag, data))
             if fn is not None:
                 fn(*args)
-        self.now = horizon
+        if horizon > self.now:
+            self.now = horizon
+            self.dispatching = -1
         return self.trace
 
     def pending(self) -> int:

@@ -15,12 +15,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
+import numpy as np
+
 from .fields import ValidationError
 from .infrastructure import InfrastructureGraph, StateChange, Topology, effective_performance
-from .kernel import Distribution, Simulator, StreamFactory, sample
+from .kernel import Distribution, Simulator, StreamFactory, sample, values_of_doubles
 
 _COMPROMISED = "integrity_compromised"
 
@@ -203,12 +206,32 @@ class MissionIndex:
             for asset in dict.fromkeys(assets):
                 needing.setdefault(asset, []).append(i)
         self.tasks_needing = {a: tuple(ts) for a, ts in needing.items()}
+        # An item's duration draws in stream order, as calls (start, stop,
+        # mean): the doubles of tasks start..stop-1, a run of uniform and
+        # triangular tasks, with one ``Generator.random`` when mean is None,
+        # else exponential task start's duration.  Fixed tasks draw nothing.
+        plan: list[tuple[int, int, float | None]] = []
+        for task, dist in enumerate(self.durations):
+            if dist.kind == "exponential":
+                plan.append((task, task + 1, dist.params[0]))
+            elif dist.kind != "fixed":
+                if plan and plan[-1][2] is None and plan[-1][1] == task:
+                    plan[-1] = (plan[-1][0], task + 1, None)
+                else:
+                    plan.append((task, task + 1, None))
+        self._draw_plan = tuple(plan)
         self._draws: tuple[tuple[int, int], ReplicationDraws] | None = None
 
-    def draws(self, streams: StreamFactory) -> tuple[ReplicationDraws, list | None]:
-        """The draws of ``streams``' replication, and the items' streams,
-        item ``i`` at ``i - 1``, past their duration draws, when this call
-        drew them; None when they came from the cache.
+    def draws(self, streams: StreamFactory) -> ReplicationDraws:
+        """The draws of ``streams``' replication.
+
+        Item ``i`` draws its durations from a PCG64 generator seeded as
+        ``streams.item_stream(i)``, in task order, with a few batched calls
+        (see ``_draw_plan``); each task's doubles then become its durations
+        column by column, as :func:`~miakit.kernel.sample` would have made
+        them one at a time.  No item keeps its generator: an item that
+        draws a rework builds its stream then (see
+        :meth:`MissionRuntime._draw_rework`).
 
         The cache holds one entry, replaced by a call with another key.  An
         entry is a function of its key alone and is never changed once
@@ -217,20 +240,38 @@ class MissionIndex:
         key = (streams.base_seed, streams.replication)
         cached = self._draws
         if cached is not None and cached[0] == key:
-            return cached[1], None
+            return cached[1]
         arrival_stream = streams.stream(StreamFactory.ARRIVALS)
         arrivals = []
         at = sample(self.arrivals, arrival_stream)
         while at <= self.arrival_end:
             arrivals.append(at)
             at += sample(self.arrivals, arrival_stream)
-        item_streams = [streams.item_stream(i) for i in range(1, len(arrivals) + 1)]
-        durations = tuple(
-            tuple([sample(d, stream) for d in self.durations]) for stream in item_streams
-        )
-        drawn = ReplicationDraws(tuple(arrivals), durations)
+        n = len(arrivals)
+        # Row i - 1 holds item i's doubles and exponential durations, one
+        # column per task.
+        raw = np.empty((n, len(self.durations)))
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        item_seed = streams.item_seed
+        plan = self._draw_plan
+        for item_id, row in zip(range(1, n + 1), raw):
+            gen = generator(pcg64(item_seed(item_id)))
+            for start, stop, mean in plan:
+                if mean is None:
+                    gen.random(out=row[start:stop])
+                else:
+                    row[start] = gen.exponential(mean)
+        columns = []
+        for task, dist in enumerate(self.durations):
+            if dist.kind == "fixed":
+                columns.append(repeat(dist.params[0], n))
+            elif dist.kind == "exponential":
+                columns.append(raw[:, task].tolist())
+            else:
+                columns.append(values_of_doubles(dist, raw[:, task]).tolist())
+        drawn = ReplicationDraws(tuple(arrivals), tuple(zip(*columns)))
         self._draws = (key, drawn)
-        return drawn, item_streams
+        return drawn
 
 
 def compute_utilization(spec: MissionSpec) -> dict:
@@ -264,8 +305,8 @@ class WorkItem:
     per-task work figures are in that order: ``sampled`` is the replication's
     tuple of drawn durations, the others are lists; ``current_task`` and
     ``work`` are read-only views of them, computed on each read.  ``stream``
-    is the item's random stream, for its rework draws, or None until a run
-    that read the durations from the cache needs it.
+    is the item's random stream, for its rework draws, or None until its
+    first rework that is not fixed.
 
     While the item is being worked on, it also holds its run state: when a
     person took it up (``seized_at``), when its progress was last credited
@@ -281,11 +322,11 @@ class WorkItem:
         "seized_at", "last_update", "factor", "generation",
     )
 
-    def __init__(self, item_id: int, created_at: float, task_ids: tuple, sampled: tuple, stream):
+    def __init__(self, item_id: int, created_at: float, task_ids: tuple, sampled: tuple):
         self.id = item_id
         self.created_at = created_at
         self.task_ids = task_ids
-        self.stream = stream
+        self.stream = None
         self.task = 0
         self.tainted = False
         self.taint_sources: set = set()
@@ -327,6 +368,10 @@ class MissionRuntime:
     task's assets for taint only while one of them is compromised.  The
     ``data`` of the per-item events, which only a trace records, is built
     only when the kernel records a trace.
+
+    A traced run schedules every item's deadline when the item arrives; an
+    untraced run reserves its kernel sequence number then and schedules it
+    only while it can still abandon the item (see ``_chain_deadline``).
     """
 
     def __init__(
@@ -361,7 +406,13 @@ class MissionRuntime:
         self._task_start_hooks: list[Callable[[str, int, float], None]] = []
         self._next_item = 1
         self._draws = ReplicationDraws((), ())
-        self._item_streams: list | None = None
+        # Deadlines of an untraced run: each item's reserved sequence id,
+        # item i at i - 1; the item whose deadline the chain fires next, or
+        # the next to arrive when the chain waits for it; and the items
+        # behind the chain with a deadline armed again.
+        self._deadline_seqs: list[int] = []
+        self._chain = 1
+        self._rearmed: set[int] = set()
         self._finalized = False
 
     # -- wiring --------------------------------------------------------------
@@ -374,7 +425,7 @@ class MissionRuntime:
             for assets in self.index.required
         ]
         self._refresh_factors(initial=True)
-        self._draws, self._item_streams = self.index.draws(self.streams)
+        self._draws = self.index.draws(self.streams)
         if self._draws.arrivals:
             self.sim.schedule("arrival", self._draws.arrivals[0], self._arrive)
         day_count = int(self.spec.horizon // self.spec.day_length) + 1
@@ -422,19 +473,18 @@ class MissionRuntime:
         item_id = self._next_item
         self._next_item = item_id + 1
         draws = self._draws
-        streams = self._item_streams
-        stream = None if streams is None else streams[item_id - 1]
-        item = WorkItem(item_id, now, ix.task_ids, draws.durations[item_id - 1], stream)
+        item = WorkItem(item_id, now, ix.task_ids, draws.durations[item_id - 1])
         self.items[item_id] = item
         self.queues[0].append(item)
         if self.spec.deadline_per_item is not None:
-            sim.schedule(
-                "deadline",
-                now + self.spec.deadline_per_item,
-                self._deadline,
-                data=(item_id,) if sim.record_trace else (),
-                args=(item,),
-            )
+            due = now + self.spec.deadline_per_item
+            if sim.record_trace:
+                sim.schedule("deadline", due, self._deadline, data=(item_id,), args=(item,))
+            else:
+                seq = sim.reserve()
+                self._deadline_seqs.append(seq)
+                if self._chain == item_id:
+                    sim.schedule("deadline", due, self._chain_deadline, args=(item,), seq=seq)
         if self.free[ix.task_role[0]] > 0 and self.factors[0] > 0:
             self._dispatch_task(0)
         if item_id < len(draws.arrivals):
@@ -572,6 +622,18 @@ class MissionRuntime:
         self.free[role] += 1
         del self.runs[item.id]
 
+    # -- deadlines ---------------------------------------------------------------
+    #
+    # A traced run schedules every item's deadline when the item arrives, and
+    # a deadline that finds its item finished does nothing but show in the
+    # trace.  An untraced run reserves each deadline's sequence id at
+    # arrival and keeps one deadline in flight, a chain in arrival order
+    # (which is (time, seq) order): when it fires, it schedules the deadline
+    # of the next item that is still open, skipping finished ones, or waits
+    # for the next arrival.  A skipped item reopened by rework before its
+    # deadline's (time, seq) has it armed again (see _rearm_deadline).  Each
+    # deadline that can abandon an item so fires where the traced run's does.
+
     def _deadline(self, item: WorkItem) -> None:
         if item.completed_at is not None or item.outcome != "in_progress":
             return
@@ -582,13 +644,43 @@ class MissionRuntime:
             self._release(item)
             self._dispatch_role(self.index.task_role[item.task])
 
+    def _chain_deadline(self, item: WorkItem) -> None:
+        self._deadline(item)
+        items = self.items
+        nxt = item.id + 1
+        while nxt in items:
+            other = items[nxt]
+            if other.completed_at is None and other.outcome == "in_progress":
+                due = other.created_at + self.spec.deadline_per_item
+                seq = self._deadline_seqs[nxt - 1]
+                self.sim.schedule("deadline", due, self._chain_deadline, args=(other,), seq=seq)
+                break
+            nxt += 1
+        self._chain = nxt
+
+    def _rearmed_deadline(self, item: WorkItem) -> None:
+        self._rearmed.discard(item.id)
+        self._deadline(item)
+
+    def _rearm_deadline(self, item: WorkItem) -> None:
+        """Schedule the deadline of ``item``, just reopened, when the chain
+        skipped it, its deadline is not armed already, and the deadline
+        comes after the event being dispatched."""
+        if self.spec.deadline_per_item is None or item.id >= self._chain or item.id in self._rearmed:
+            return
+        sim = self.sim
+        due = item.created_at + self.spec.deadline_per_item
+        seq = self._deadline_seqs[item.id - 1]
+        if sim.precedes(sim.now, sim.dispatching, due, seq):
+            self._rearmed.add(item.id)
+            sim.schedule("deadline", due, self._rearmed_deadline, args=(item,), seq=seq)
+
     # -- rework and checkpoints ------------------------------------------------
 
     def _draw_rework(self, item: WorkItem, task: int) -> float:
         """``item``'s rework effort at ``task``, from the item's stream.  An
-        item whose durations were read from the cache gets its stream at its
-        first rework that is not fixed, moved past its duration draws by
-        drawing them again."""
+        item gets its stream at its first rework that is not fixed, moved
+        past its duration draws by drawing them again."""
         dist = self.index.reworks[task]
         stream = item.stream
         if stream is None and dist.kind != "fixed":
@@ -608,6 +700,8 @@ class MissionRuntime:
             drawn = self._draw_rework(item, last)
             item.rework[last] += drawn
             item.remaining[last] += drawn
+            if not self.sim.record_trace:
+                self._rearm_deadline(item)
             self.queues[last].append(item)
             self._dispatch_task(last)
             return

@@ -609,16 +609,16 @@ class TestCliSimulate:
 
     def test_baseline_runs_read_the_draws_of_their_attack_runs(self, tmp_path, monkeypatch):
         """With --baseline, replication k's attack-free run follows its attack
-        run and reads its draws: the item streams built are the attack
+        run and reads its draws: the item seeds asked for are the attack
         runs' alone, and the attack rows are those of a run without it."""
         built = []
-        real = StreamFactory.item_stream
+        real = StreamFactory.item_seed
 
-        def item_stream(self, item_id):
+        def item_seed(self, item_id):
             built.append((self.replication, item_id))
             return real(self, item_id)
 
-        monkeypatch.setattr(StreamFactory, "item_stream", item_stream)
+        monkeypatch.setattr(StreamFactory, "item_seed", item_seed)
         streams = []
         for flags in ([], ["--baseline"]):
             built.clear()

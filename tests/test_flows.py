@@ -648,6 +648,55 @@ class TestBlockParsing:
         assert len(per_block) == len(layout)
         assert [bool(p) if kind != "c" else None for kind, p in zip(layout, per_block)] == halved
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_range_failure_halves_the_converted_columns(self, monkeypatch, strict):
+        """A block whose bad line holds a value out of range is split once
+        and each of its fields converted once: its halves are cut from its
+        columns, and only the piece that holds the bad line is read line by
+        line."""
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(2_048)]
+        lines[700] = "700,c0,70000,s0,443,tcp,10,1"
+        text = "\n".join([FLOW_HEADER] + lines) + "\n"
+        self.check(text, strict)
+        split, checked, read = [], [], []
+        spies = {
+            "_block_columns": lambda real: lambda block, limit: split.append(len(block))
+            or real(block, limit),
+            "_check_columns": lambda real: lambda columns, failed=None: checked.append(
+                (len(columns[0]), failed)) or real(columns, failed),
+            "_check_rows": lambda real: lambda rows, line_no, strict, malformed: read.append(
+                line_no) or real(rows, line_no, strict, malformed),
+        }
+        for name, spy in spies.items():
+            monkeypatch.setattr(flows, name, spy(getattr(flows, name)))
+        parse_outcome(parse_flows, text, strict)
+        size = flows._BLOCK_LINES
+        # A strict parse stops at the bad line, in the first block.
+        blocks = 1 if strict else 2
+        assert split == [size] * blocks
+        # The failed block converted src_port (field position 1) and
+        # stopped; each piece cut from it starts from that converted column.
+        assert checked[0] == (size, None)
+        later = checked[1:]
+        if not strict:
+            assert later.pop() == (size, None)
+        # Two halves at each of six levels, from 512 lines down to 16.
+        assert [failed for _, failed in later] == [1] * 12
+        assert len(read) == 1 and read[0] <= 702 < read[0] + flows._PIECE_LINES
+
+    def test_a_block_stops_at_its_first_bad_column(self, monkeypatch):
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1"
+                 for k in range(flows._BLOCK_LINES)]
+        lines[300] = "-1,c0,50000,s0,443,tcp,10,1"
+        text = "\n".join([FLOW_HEADER] + lines) + "\n"
+        self.check(text, False)
+        ranged = []
+        real = flows._in_range
+        monkeypatch.setattr(flows, "_in_range", lambda k, column: ranged.append(
+            (k, len(column))) or real(k, column))
+        parse_flows(text, strict=False)
+        assert [k for k, n in ranged if n == flows._BLOCK_LINES] == [0]
+
     def test_a_parse_leaves_no_reference_cycle(self):
         # Objects in a cycle wait for the cyclic collector: a parse that left
         # one would hold its working lists, and the records, past its return.

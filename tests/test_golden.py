@@ -6,7 +6,9 @@ bundled ones leave idle (an aware workforce reworking on the spot, per-item
 deadlines, several roles with more than one person), runs attack and
 attack-free replications 0-3 with ``record_trace=True``.  Any change to the
 mission runtime, the event loop or the random streams that shifts a single
-event, draw or float shows up here.
+event, draw or float shows up here.  The same replications run without a
+trace, where the runtime leaves out deadlines that can no longer abandon an
+item, must give the same metrics and item records.
 
 The runs of one replication share its arrival and duration draws, which the
 first of them makes (``MissionIndex.draws``), so the replications are also
@@ -141,9 +143,9 @@ def _result_text(result) -> str:
     return "\n".join(lines)
 
 
-def _replay(scenario, k: int) -> tuple[str, str, str]:
+def _replay(scenario, k: int, record_trace: bool = True) -> tuple[str, str, str]:
     """The trace, metrics and mission result of replication ``k``, as text."""
-    m, result, _, trace = scenario.run_detailed(k, SEED, record_trace=True)
+    m, result, _, trace = scenario.run_detailed(k, SEED, record_trace=record_trace)
     return trace_lines(trace), repr(m), _result_text(result)
 
 
@@ -162,18 +164,21 @@ def _variants(doc: dict) -> dict:
     return {"attack": attack, "baseline": attack.without_attack()}
 
 
-def replay_digests(doc: dict, order: str = "by_variant") -> dict[str, str]:
+def replay_digests(doc: dict, order: str = "by_variant", record_trace: bool = True) -> dict[str, str]:
     """SHA-256 of the traces, metrics and mission results of attack and
-    attack-free replications 0-3 of ``doc`` with ``record_trace=True``, run
-    in the ``order`` of :data:`ORDERS` on one loaded scenario."""
+    attack-free replications 0-3 of ``doc``, run in the ``order`` of
+    :data:`ORDERS` on one loaded scenario.  An untraced replay has no trace
+    digests."""
     variants = _variants(doc)
     runs: dict = {label: {} for label in variants}
     for label, k in ORDERS[order]:
-        runs[label][k] = _replay(variants[label], k)
+        runs[label][k] = _replay(variants[label], k, record_trace)
     out = {}
     for label, by_k in runs.items():
         traces, metrics, results = zip(*(by_k[k] for k in REPS))
         for kind, parts in (("trace", traces), ("metrics", metrics), ("items", results)):
+            if kind == "trace" and not record_trace:
+                continue
             text = "\n--\n".join(parts)
             out[f"{label}.{kind}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
@@ -251,10 +256,22 @@ def test_replay_in_other_orders_matches_golden_digests(name, order):
     assert replay_digests(DOCUMENTS[name](), order) == GOLDEN[name]
 
 
-def test_attack_run_after_its_baseline_builds_streams_only_for_drawn_reworks(monkeypatch):
-    """In the reversed order the attack run reads the durations its
-    attack-free run drew; its items get a stream only for a rework that is
-    not fixed (workweek's draft and approve tasks)."""
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_untraced_replay_matches_golden_metrics_and_items(name, order):
+    """An untraced run schedules only the deadlines that can still abandon
+    an item (``MissionRuntime._chain_deadline``); its metrics and items
+    are the traced run's."""
+    want = {key: digest for key, digest in GOLDEN[name].items() if not key.endswith(".trace")}
+    assert replay_digests(DOCUMENTS[name](), order, record_trace=False) == want
+
+
+@pytest.mark.parametrize("first", ["attack", "baseline"])
+def test_runs_build_item_streams_only_for_drawn_reworks(monkeypatch, first):
+    """Neither run of a replication, the one that draws the durations or
+    the one that reads them, builds an item stream, except for a rework
+    that is not fixed (workweek's draft and approve tasks); the attack-free
+    run reworks nothing."""
     variants = _variants(_workweek())
     built = []
     real = StreamFactory.item_stream
@@ -264,14 +281,12 @@ def test_attack_run_after_its_baseline_builds_streams_only_for_drawn_reworks(mon
         return real(self, item_id)
 
     monkeypatch.setattr(StreamFactory, "item_stream", item_stream)
-    _, result, _, _ = variants["baseline"].run_detailed(0, SEED)
-    assert len(built) == len(result.items)
-    built.clear()
-    _, result, _, _ = variants["attack"].run_detailed(0, SEED)
-    reworked = {item.id for item in result.items if item.rework[2] or item.rework[4]}
-    assert reworked
-    assert set(built) == reworked
-    assert len(built) == len(reworked)
+    for label in (first, "baseline" if first == "attack" else "attack"):
+        built.clear()
+        _, result, _, _ = variants[label].run_detailed(0, SEED)
+        reworked = {item.id for item in result.items if item.rework[2] or item.rework[4]}
+        assert bool(reworked) == (label == "attack")
+        assert sorted(built) == sorted(reworked)
 
 
 def _small(name: str) -> dict:

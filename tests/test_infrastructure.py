@@ -629,6 +629,8 @@ class TestScenarioOverlays:
         sc = load_scenario(bundled_path("timing.yaml"))
         a, b = sc.build_graph(), sc.build_graph()
         assert a.topology is b.topology is sc.without_attack().build_graph().topology
+        # The attacker reads the end users on every run: the topology's own tuple.
+        assert a.end_user_nodes() is b.end_user_nodes() is a.topology.end_users
         assert a.states is not b.states and a.history is not b.history
         set_state(a, "plansys", AssetState("unavailable"), 5.0)
         assert b.states["plansys"].mode == "operational" and b.history == []

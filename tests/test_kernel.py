@@ -89,6 +89,68 @@ class TestScheduling:
         assert build_and_run() == build_and_run()
 
 
+class TestReservedSequenceIds:
+    """An event scheduled late on a reserved id is dispatched where it would
+    have been had it been scheduled when the id was reserved."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(plan=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.5]), st.booleans()),
+                         min_size=1, max_size=30))
+    def test_late_events_keep_their_place(self, plan):
+        # Each event (t, late) is scheduled at once or, when late, on an id
+        # reserved in its turn and scheduled after all the others.
+        eager = Simulator(record_trace=True)
+        for t, _ in plan:
+            eager.schedule("e", t, data=(t,))
+        eager.run_until(10.0)
+
+        lazy = Simulator(record_trace=True)
+        held = []
+        for t, late in plan:
+            if late:
+                held.append((t, lazy.reserve()))
+            else:
+                lazy.schedule("e", t, data=(t,))
+        for t, seq in held:
+            lazy.schedule("e", t, data=(t,), seq=seq)
+        lazy.run_until(10.0)
+        assert [(e.time, e.seq) for e in lazy.trace] == [(e.time, e.seq) for e in eager.trace]
+
+    def test_dispatching_is_the_event_being_dispatched(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule("a", 1.0, lambda: seen.append((sim.now, sim.dispatching)))
+        sim.schedule("b", 1.0, lambda: seen.append((sim.now, sim.dispatching)))
+        assert sim.dispatching == -1
+        sim.run_until(1.0)
+        assert seen == [(1.0, 0), (1.0, 1)]
+        assert sim.dispatching == 1
+        sim.run_until(2.0)
+        assert (sim.now, sim.dispatching) == (2.0, -1)
+
+    def test_a_reserved_id_before_the_dispatching_event_is_refused(self):
+        sim = Simulator()
+        early = sim.reserve()
+        errors = []
+
+        def late():
+            for at, seq in ((1.0, early), (0.5, sim.reserve()), (1.0, sim._seq)):
+                try:
+                    sim.schedule("late", at, seq=seq)
+                except SchedulingInPast as exc:
+                    errors.append(str(exc))
+            # A reserved id after the dispatching event is taken, at any
+            # time from now on.
+            sim.schedule("ok", 1.0, seq=sim.reserve())
+
+        sim.schedule("now", 1.0, late)
+        sim.run_until(1.0)
+        assert len(errors) == 3
+        assert sim.pending() == 0
+        assert Simulator.precedes(1.0, 2, 1.0, 3) and Simulator.precedes(0.5, 9, 1.0, 0)
+        assert not Simulator.precedes(1.0, 3, 1.0, 3)
+
+
 class TestDistributions:
     def test_fixed_always_returns_value(self):
         stream = RngStream(0, 0)

@@ -22,7 +22,7 @@ from miakit.threat import AttackTimeline
 
 
 def item(k, outcome, created=0.0, completed=100.0, tainted=False):
-    it = WorkItem(k, created, (), [], None)
+    it = WorkItem(k, created, (), [])
     it.tainted = tainted
     it.outcome = outcome
     if outcome.startswith("completed"):

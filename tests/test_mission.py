@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from miakit import infrastructure as infrastructure_mod
@@ -26,6 +26,7 @@ from miakit.mission import (
     validate_mission,
 )
 from miakit.scenario import bundled_path, load_scenario
+from tests.test_golden import SEED, _result_text, _workweek
 from tests.test_infrastructure import STATES, graph_documents
 
 
@@ -267,7 +268,7 @@ class TestTaintAndCheckpoints:
         return runtime.finalize()
 
     def test_apply_checkpoint_pure_op(self):
-        items = [WorkItem(1, 0.0, ("t1",), [1.0], None)]
+        items = [WorkItem(1, 0.0, ("t1",), [1.0])]
         assert apply_checkpoint(items) == [] and not items[0].tainted
         items[0].tainted = True
         assert apply_checkpoint(items) == items and not items[0].tainted
@@ -356,14 +357,46 @@ class TestMissionIndex:
         assert len(built) == 1
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["fixed", "uniform", "exponential", "triangular", "low", "high"]),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32),
+        replication=st.integers(0, 40),
+    )
+    def test_batched_durations_equal_one_sample_at_a_time(self, kinds, seed, replication):
+        """Each item's durations, drawn in a few batched calls and turned
+        into values column by column, are the values ``sample`` draws one
+        at a time from the item's stream, bit for bit."""
+        dists = {
+            "fixed": Distribution.fixed(42.5),
+            "uniform": Distribution.uniform(375.3, 645.1),
+            "exponential": Distribution.exponential(165.7),
+            "triangular": Distribution.triangular(90.1, 120.7, 150.2),
+            "low": Distribution.triangular(450.0, 450.0, 750.0),
+            "high": Distribution.triangular(30.0, 60.0, 60.0),
+        }
+        tasks = [task(f"t{i}", dists[kind], after=[f"t{i - 1}"] if i else [])
+                 for i, kind in enumerate(kinds)]
+        s = validate_mission(spec(tasks, Distribution.exponential(60), horizon=3_000.0))
+        streams = StreamFactory(seed, replication)
+        drawn = MissionIndex(s).draws(streams)
+        assert drawn.durations
+        for item_id, durations in enumerate(drawn.durations, start=1):
+            stream = streams.item_stream(item_id)
+            want = tuple(kernel_mod.sample(d, stream) for d in s.index.durations)
+            assert [float.hex(v) for v in durations] == [float.hex(v) for v in want]
+            assert all(type(v) is float for v in durations)
+
+
 class TestTracedEntryPoints:
     """The benchmark's tracer counts calls of ``StreamFactory.item_stream``,
     ``Simulator.schedule`` and ``kernel.sample`` by replacing them from
     outside; the runtime must keep going through those names."""
 
-    def test_one_item_stream_per_item_and_one_schedule_per_event(self, monkeypatch):
-        from miakit.scenario import bundled_path, load_scenario
-
+    def test_no_item_stream_without_a_drawn_rework_and_one_schedule_per_event(self, monkeypatch):
         counts = {"item_stream": 0, "schedule": 0, "sample": 0, "left": 0}
         real = {
             "item_stream": StreamFactory.item_stream,
@@ -392,16 +425,22 @@ class TestTracedEntryPoints:
         monkeypatch.setattr(Simulator, "schedule", schedule)
         monkeypatch.setattr(Simulator, "discard_pending", discard_pending)
         monkeypatch.setattr(mission_mod, "sample", sample)
-        sc = load_scenario(bundled_path("checkpoint.yaml"))
+        # The attack starts before the noon checkpoint, which reworks items.
+        doc = scenario_mod.read_yaml(bundled_path("checkpoint.yaml"))
+        doc["attacker"]["start"] = {"fixed": "8h"}
+        sc = scenario_mod.scenario_from_dict(doc)
         _, result, _, trace = sc.run_detailed(0, sc.base_seed, record_trace=True)
 
         assert result.items
-        assert counts["item_stream"] == len(result.items)
+        # Durations are drawn in batches, without item streams; this
+        # scenario's rework is fixed, so no item builds one.
+        assert counts["item_stream"] == 0
         assert counts["schedule"] == len(trace) + counts["left"]
-        # Every task duration of every item, and each arrival, is drawn
-        # through the module's ``sample``.
-        n_tasks = len(sc.mission.tasks)
-        assert counts["sample"] >= len(result.items) * (n_tasks + 1)
+        # Each arrival gap (and the one past the horizon) and each rework
+        # is drawn through the module's ``sample``, and nothing else.
+        reworks = sum(n for _, kind, n in result.checkpoint_log if kind == "checkpoint")
+        assert reworks
+        assert counts["sample"] == len(result.items) + 1 + reworks
 
 
 class TestItemsAreTheResult:
@@ -528,7 +567,7 @@ class TestTaintCounts:
             else:
                 k = op[1]
                 item_id = len(runtime.items) + 1
-                item = WorkItem(item_id, 0.0, runtime.index.task_ids, [10.0] * 4, None)
+                item = WorkItem(item_id, 0.0, runtime.index.task_ids, [10.0] * 4)
                 item.task = k
                 runtime.items[item_id] = item
                 runtime.queues[k].append(item)
@@ -597,3 +636,200 @@ class TestPerformanceRead:
             sc.run_replication(0, 7)
         assert False in refreshes  # the attack changed a state the mission reads
         assert copies == []
+
+
+@st.composite
+def deadline_documents(draw):
+    """A small scenario where deadlines fire on checkpoints: times are whole
+    minutes, so a fixed arrival plus the deadline often lands exactly on a
+    checkpoint, and an integrity attack has checkpoints reopen finished
+    items; a defender makes the workforce aware."""
+    minutes = lambda lo, hi: 60 * draw(st.integers(lo, hi))  # noqa: E731
+    durations = st.sampled_from(["fixed"] * 3 + ["uniform", "exponential"])
+
+    def duration(kind):
+        if kind == "fixed":
+            return {"fixed": minutes(1, 20)}
+        return {"uniform": [60, 900]} if kind == "uniform" else {"exponential": 300}
+
+    tasks = []
+    for i in range(draw(st.integers(1, 3))):
+        tasks.append({
+            "id": f"t{i}",
+            "role": draw(st.sampled_from(["a", "b"])),
+            "duration": duration(draw(durations)),
+            "rework": duration(draw(durations)),
+            "requires": ["sys"] if draw(st.booleans()) or i == 0 else [],
+            "after": [f"t{i - 1}"] if i else [],
+        })
+    day = draw(st.sampled_from([4 * 3600, 86_400]))
+    checkpoints = sorted(set(draw(st.lists(st.integers(1, day // 60 - 1), min_size=1, max_size=4))))
+    gap = minutes(2, 15)
+    arrivals = {"fixed": gap} if draw(st.booleans()) else {"exponential": 400}
+    deadline = minutes(5, 180)
+    if "fixed" in arrivals and draw(st.booleans()):
+        # The deadline of the item that arrives n gaps before a checkpoint
+        # falls on it.
+        at = 60 * draw(st.sampled_from(checkpoints))
+        deadline = at - gap * draw(st.integers(1, max(1, at // gap - 1)))
+        assume(deadline > 0)
+    defender = None
+    if draw(st.booleans()):
+        defender = {
+            "detect_delay": {"fixed": minutes(0, 240)},
+            "forensics_duration": {"fixed": minutes(10, 60)},
+            "per_host_discovery_prob": draw(st.sampled_from([0.5, 1.0])),
+        }
+    return {
+        "infrastructure": {
+            "assets": [{"id": "ws-1", "kind": "end_user_node", "subnet": "office"},
+                       {"id": "sys", "kind": "application", "subnet": "office"}],
+            "edges": [],
+            "vulnerabilities": [{"asset": "sys", "exploit": "exp-1"}],
+        },
+        "mission": {
+            "day_length": day,
+            "checkpoints": [60 * c for c in checkpoints],
+            "arrivals": arrivals,
+            "personnel": {"a": draw(st.integers(1, 2)), "b": draw(st.integers(1, 2))},
+            "deadline_per_item": deadline,
+            "tasks": tasks,
+        },
+        "attacker": {
+            "target": "sys",
+            "effect": "integrity",
+            "start": {"fixed": minutes(0, 240)},
+            "capabilities": ["exp-1"],
+            "spearphish_success_prob": 1.0,
+            "spearphish_interval": {"fixed": 60},
+            "scan_interval": {"fixed": 60},
+            "proficiency": 1.0,
+            "agility": 1.0,
+        },
+        "defender": defender,
+        "sim": {"base_seed": draw(st.integers(0, 1000)), "horizon": "10h"},
+    }
+
+
+def _reopened_at_its_due_time() -> dict:
+    """One planner, a 60 s task, an item every 600 s, a 6,600 s deadline and
+    one checkpoint at 7,800 s: item 2's deadline falls on the checkpoint.
+    The attack taints every item from 120 s on, so the checkpoint reopens
+    items 1-12; the deadline chain skipped item 2 at 7,200 s, when item 1's
+    deadline found it finished."""
+    return {
+        "infrastructure": {
+            "assets": [{"id": "ws-1", "kind": "end_user_node", "subnet": "office"},
+                       {"id": "sys", "kind": "application", "subnet": "office"}],
+            "edges": [],
+            "vulnerabilities": [{"asset": "sys", "exploit": "exp-1"}],
+        },
+        "mission": {
+            "checkpoints": [7800],
+            "arrivals": {"fixed": 600},
+            "personnel": {"planner": 1},
+            "deadline_per_item": 6600,
+            "tasks": [{"id": "draft", "role": "planner", "duration": {"fixed": 60},
+                       "rework": {"fixed": 60}, "requires": ["sys"]}],
+        },
+        "attacker": {"target": "sys", "effect": "integrity", "start": {"fixed": 0},
+                     "capabilities": ["exp-1"], "spearphish_success_prob": 1.0,
+                     "spearphish_interval": {"fixed": 60}, "scan_interval": {"fixed": 60},
+                     "proficiency": 1.0, "agility": 1.0},
+        "defender": None,
+        "sim": {"base_seed": 3, "horizon": "4h"},
+    }
+
+
+class TestLazyDeadlines:
+    """An untraced run schedules a deadline only while it can still abandon
+    its item; a traced run schedules every one.  Both give the same metrics
+    and item records."""
+
+    @staticmethod
+    def _deadlines(monkeypatch) -> list:
+        """(time, seq, traced) of every deadline scheduled from here on."""
+        scheduled = []
+        real = Simulator.schedule
+
+        def schedule(self, tag, at, *args, **kwargs):
+            seq = real(self, tag, at, *args, **kwargs)
+            if tag == "deadline":
+                scheduled.append((at, seq, self.record_trace))
+            return seq
+
+        monkeypatch.setattr(Simulator, "schedule", schedule)
+        return scheduled
+
+    @settings(max_examples=80, deadline=None)
+    @given(doc=deadline_documents(), k=st.integers(0, 3))
+    def test_traced_and_untraced_runs_agree(self, doc, k):
+        attack = scenario_mod.scenario_from_dict(doc)
+        for sc in (attack, attack.without_attack()):
+            m_traced, traced, _, _ = sc.run_detailed(k, sc.base_seed, record_trace=True)
+            m_lazy, lazy, _, _ = sc.run_detailed(k, sc.base_seed)
+            assert m_lazy == m_traced
+            assert _result_text(lazy) == _result_text(traced)
+
+    def test_an_item_reopened_at_its_due_time_is_abandoned_then(self, monkeypatch):
+        scheduled = self._deadlines(monkeypatch)
+        sc = scenario_mod.scenario_from_dict(_reopened_at_its_due_time())
+        m_traced, traced, _, trace = sc.run_detailed(0, sc.base_seed, record_trace=True)
+        m_lazy, lazy, _, _ = sc.run_detailed(0, sc.base_seed)
+        fired = [e for e in trace if e.tag == "deadline" and e.data == (2,)]
+        assert [(e.time, e.seq) for e in fired] == [(7800.0, 8)]
+        checkpoint = [e for e in trace if e.tag == "checkpoint"]
+        assert [(e.time, e.seq) for e in checkpoint] == [(7800.0, 1)]
+        # The untraced run arms item 2's deadline again when the checkpoint
+        # reopens it, at the traced run's time and sequence id.
+        assert (7800.0, 8, False) in scheduled
+        for result in (traced, lazy):
+            item = result.items[1]
+            assert (item.id, item.outcome, item.rework, item.remaining) == (2, "abandoned", [60.0], [60.0])
+        assert m_lazy == m_traced
+        assert _result_text(lazy) == _result_text(traced)
+
+    @staticmethod
+    def _recheck_at_the_due_time(record_trace: bool, early: bool):
+        """Item 1 arrives at 600 s, is done at 660 s and is due at 1,200 s.
+        It is tainted at 700 s, and a checkpoint at 1,200 s reopens it; the
+        checkpoint is scheduled before the item arrives (``early``), so it
+        comes before the deadline, or at 700 s, after it."""
+        s = validate_mission(spec([task("t1", 60)], 600, horizon=2_000.0, deadline_per_item=600.0))
+        sim = Simulator(record_trace=record_trace)
+        runtime = MissionRuntime(s, plain_graph("sys"), sim, StreamFactory(0)).install()
+
+        def recheck():
+            sim.schedule("recheck", 1_200.0, runtime._checkpoint, args=(1_200.0,))
+
+        def taint():
+            runtime.items[1].tainted = True
+            if not early:
+                recheck()
+
+        if early:
+            recheck()
+        sim.schedule("taint", 700.0, taint)
+        sim.run_until(s.horizon)
+        return runtime.finalize(), sim.trace
+
+    @pytest.mark.parametrize("early,outcome", [(True, "abandoned"), (False, "completed_clean")])
+    def test_a_reopened_item_is_abandoned_only_if_its_deadline_comes_after(self, early, outcome):
+        traced, trace = self._recheck_at_the_due_time(True, early)
+        lazy, _ = self._recheck_at_the_due_time(False, early)
+        at_due = [e.tag for e in trace if e.time == 1_200.0 and e.tag in ("deadline", "recheck")]
+        assert at_due == (["recheck", "deadline"] if early else ["deadline", "recheck"])
+        assert traced.items[0].outcome == lazy.items[0].outcome == outcome
+        assert _result_text(lazy) == _result_text(traced)
+
+    def test_untraced_runs_schedule_few_of_the_deadlines(self, monkeypatch):
+        scheduled = self._deadlines(monkeypatch)
+        sc = scenario_mod.scenario_from_dict(_workweek())
+        _, traced, _, trace = sc.run_detailed(0, SEED, record_trace=True)
+        _, lazy, _, _ = sc.run_detailed(0, SEED)
+        fired = sum(e.tag == "deadline" for e in trace)
+        assert fired == sum(traced_ for _, _, traced_ in scheduled) - sum(
+            at > sc.horizon for at, _, traced_ in scheduled if traced_)
+        lazy_count = sum(not traced_ for _, _, traced_ in scheduled)
+        assert 0 < lazy_count < fired / 10
+        assert _result_text(lazy) == _result_text(traced)
