@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -112,8 +112,6 @@ _NO_TS = np.empty(0, dtype=np.int64)
 
 
 def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
-    # Every rule bounds one field on its own, so a block of lines passes when
-    # rows made of its columns' minima and maxima pass (see _in_range).
     if len(fields) != 8:
         raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
     try:
@@ -139,15 +137,21 @@ def _check_fields(fields: Sequence[str], line_no: int) -> FlowRecord:
     return FlowRecord(ts_us, fields[1], src_port, fields[3], dst_port, proto, nbytes, packets)
 
 
-# Lines that parse_flows checks and converts together, and the most lines of
-# a failed block it reads line by line.
+# Lines that parse_flows reads from their bytes together.
 _BLOCK_LINES = 1024
-_PIECE_LINES = 16
 # Characters that only csv.reader may interpret: quotes and carriage returns,
 # and NUL, which the reader refuses before Python 3.11.
 _CSV_ONLY = ('"', "\r", "\0")
 # The positions of the integer fields in a line.
 _INT_FIELDS = (0, 2, 4, 6, 7)
+# The protocols, coded 0 and 1, and their bytes.
+_PROTOS = ("tcp", "udp")
+_TCP, _UDP = (np.frombuffer(p.encode(), dtype=np.uint8) for p in _PROTOS)
+# The most bytes that a block's hosts are packed into to code them with
+# numpy (hosts of up to 128 bytes, in blocks of 1,024 lines).
+_HOST_BYTES = 1 << 18
+# An odd multiplier that mixes a long host's words into one key.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _transposed(records: Iterable[Sequence]) -> list:
@@ -187,106 +191,193 @@ def _check_rows(
         line_no += 1
 
 
-# A row that passes every line rule, into which _in_range puts one value.
-_PASSING_ROW = (0, "", 0, "", 0, "tcp", 0, 1)
+def _first_of(inverse: np.ndarray, n_codes: int) -> np.ndarray:
+    """The position of each code's first appearance in ``inverse``."""
+    first = np.full(n_codes, len(inverse), dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(len(inverse)))
+    return first
 
 
-def _in_range(k: int, column: list[int]) -> bool:
-    """Whether every value of field ``k``'s converted ``column`` passes the
-    line rules: its extremes do, each in an otherwise passing row."""
-    row = list(_PASSING_ROW)
-    try:
-        for value in (min(column), max(column)):
-            row[k] = value
-            _check_fields(row, 0)
-    except MalformedLine:
-        return False
-    return True
+class _Parse:
+    """The records of one parse, their host and protocol strings, each held
+    once and coded by its place in ``names`` (the protocols are codes 0 and
+    1), and the index columns of the records, one part per block."""
+
+    def __init__(self, strict: bool, malformed: list | None) -> None:
+        self.strict = strict
+        self.malformed = malformed
+        self.records: list[FlowRecord] = []
+        self.names = list(_PROTOS)
+        self.codes = {name.encode(): k for k, name in enumerate(self.names)}
+        self.protos = np.array(self.names, dtype=object)
+        self.parts: list = []
+
+    def code(self, raw: bytes) -> int:
+        """The code of the string whose UTF-8 bytes are ``raw``, decoded the
+        first time it is met."""
+        k = self.codes.get(raw)
+        if k is None:
+            k = self.codes[raw] = len(self.names)
+            self.names.append(raw.decode("utf-8", "surrogatepass"))
+        return k
+
+    def checked(self, rows: Iterator[list[str]], line_no: int) -> np.ndarray:
+        """Keep the records that :func:`_check_rows` reads from the csv
+        ``rows``, their strings replaced by the held ones, and return their
+        index columns (ts_us, src_host, src_port, dst_host, dst_port, proto;
+        strings as codes), one row per column."""
+        records = _check_rows(rows, line_no, self.strict, self.malformed)
+        ts_us, src, src_port, dst, dst_port, proto, nbytes, packets = _transposed(records)
+        codes = []
+        for column in (src, dst, proto):
+            code = {s: self.code(s.encode("utf-8", "surrogatepass")) for s in set(column)}
+            codes.append(list(map(code.__getitem__, column)))
+        src, dst, proto = (list(map(self.names.__getitem__, column)) for column in codes)
+        self.records.extend(map(tuple.__new__, repeat(FlowRecord),
+                                zip(ts_us, src, src_port, dst, dst_port, proto, nbytes, packets)))
+        return np.array([ts_us, codes[0], src_port, codes[1], dst_port, codes[2]], dtype=np.int64)
+
+    def block(self, data: bytes, offset: int, block: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray, line_no: int, limit: int) -> None:
+        """Keep the records of a block of :func:`_blocks`, its first line
+        ``line_no``: the regular lines' from their columns, and each other
+        line's from :func:`_check_rows`, alone, in line order."""
+        lines, values, proto, hosts = _regular(block, starts, ends, limit)
+        inverse, first = _host_codes(block, *hosts)
+        code = [self.code(data[offset + a : offset + a + n])
+                for a, n in zip(*(h[first].tolist() for h in hosts))]
+        held = np.array([self.names[k] for k in code], dtype=object)[inverse]
+        code = np.array(code, dtype=np.intp)[inverse]
+        m = len(lines)
+        ts_us, src_port, dst_port, nbytes, packets = values
+        part = [ts_us, code[:m], src_port, code[m:], dst_port, proto]
+        rows = zip(ts_us.tolist(), held[:m].tolist(), src_port.tolist(), held[m:].tolist(),
+                   dst_port.tolist(), self.protos[proto].tolist(), nbytes.tolist(), packets.tolist())
+        regular = np.zeros(len(ends), dtype=bool)
+        regular[lines] = True
+        records = self.records
+        at, extra, taken = [], [], 0
+        for k, line in enumerate(np.flatnonzero(~regular).tolist()):
+            # The regular lines before this one, then this one alone.
+            records.extend(map(tuple.__new__, repeat(FlowRecord), islice(rows, line - k - taken)))
+            taken = line - k
+            raw = data[offset + int(starts[line]) : offset + int(ends[line])]
+            checked = self.checked(csv.reader([raw.decode("utf-8", "surrogatepass")]), line_no + line)
+            at += [taken] * checked.shape[1]
+            extra.append(checked)
+        records.extend(map(tuple.__new__, repeat(FlowRecord), rows))
+        if at:
+            extra = np.concatenate(extra, axis=1)
+            part = [np.insert(column, at, values) for column, values in zip(part, extra)]
+        self.parts.append(part)
+
+    def log(self) -> FlowLog:
+        """The records as a :class:`FlowLog` with their index."""
+        columns = [np.concatenate(c) for c in zip(*self.parts)] if self.parts else [_NO_TS] * 6
+        log = tuple.__new__(FlowLog, self.records)
+        log.by_channel = ChannelIndex.from_codes(*columns, self.names)
+        return log
 
 
-def _check_columns(columns: list, failed: int | None = None) -> int | None:
-    """Convert the integer fields of a piece's eight ``columns`` in place,
-    checking each one's extremes as soon as it is converted, and return the
-    position in ``_INT_FIELDS`` of the first that fails them, or None.  A
-    value that is no integer raises ValueError.  ``failed`` is such a
-    position from a larger piece that held this one: the fields before it
-    pass and it is converted already, so it is only checked again."""
-    for n in range(failed or 0, len(_INT_FIELDS)):
-        k = _INT_FIELDS[n]
-        if n != failed:
-            columns[k] = list(map(int, columns[k]))
-        if not _in_range(k, columns[k]):
-            return n
-    return None
+def _blocks(buf: np.ndarray, start: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The lines of ``buf`` from ``start`` on, in blocks of at most
+    ``_BLOCK_LINES``, as (offset, block, starts, ends): ``block`` is the
+    bytes of the block's lines, from ``buf[offset]`` on; line k is
+    ``block[starts[k]:ends[k]]``, and ends[k] is its newline or the end of
+    ``buf``.  Positions are int32 unless a block is too long for them.
+    Only a block's own bytes, and as many again, are searched."""
+    size = len(buf)
+    span = 64 * _BLOCK_LINES
+    while start < size:
+        ends = np.flatnonzero(buf[start : start + span] == 10)
+        while len(ends) < _BLOCK_LINES and start + span < size:
+            span *= 2
+            ends = np.flatnonzero(buf[start : start + span] == 10)
+        ends = ends[:_BLOCK_LINES]
+        if len(ends) < _BLOCK_LINES and (not len(ends) or start + ends[-1] < size - 1):
+            ends = np.append(ends, size - start)  # a last line with no newline
+        stop = start + int(ends[-1])
+        ends = ends.astype(np.int32 if stop - start < 2**31 else np.int64)
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        yield start, buf[start:stop], starts, ends
+        span = max(64 * _BLOCK_LINES, 2 * (stop - start))
+        start = stop + 1
 
 
-def _block_columns(lines: list[str], limit: int) -> tuple[list | None, int | None]:
-    """``lines`` as their eight columns and the failed position that
-    :func:`_check_columns` gives them: the columns are the block's records
-    when it is None.  The columns are None instead when a line is longer
-    than ``limit``, has not eight fields, or has a field that fails its
-    rule before any range is checked (a protocol, or an integer that does
-    not read)."""
-    if max(map(len, lines)) > limit:
-        return None, None
-    # Each line boundary becomes a field "\n" of its own, which must fall
-    # after every eighth field.
-    fields = ",\n,".join(lines).split(",")
-    if len(fields) != 9 * len(lines) - 1 or fields[8::9].count("\n") != len(lines) - 1:
-        return None, None
-    columns = [fields[k::9] for k in range(8)]
-    try:
-        # The protocols first: they cost least to check.
-        for proto in set(columns[5]):
-            _check_fields((0, "", 0, "", 0, proto, 0, 1), 0)
-        return columns, _check_columns(columns)
-    except (ValueError, MalformedLine):
-        return None, None
+def _integers(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple:
+    """The fields ``buf[start:start + length]`` read as decimal integers, and
+    whether each is 1 to 18 ASCII digits (which an int64 holds): a value
+    counts only where it is.  The digits are gathered one row per place, so
+    every step runs along a row of fields."""
+    width = int(min(length.max(initial=1), 18))
+    at = np.arange(-width, 0, dtype=start.dtype)[:, None] + (start + length)
+    digits = np.take(buf, at, mode="clip") - 48  # any other byte wraps to 10 or more
+    digits *= at >= start
+    ok = (digits < 10).all(axis=0) & (length >= 1) & (length <= 18)
+    value = digits[0].astype(np.int64)
+    for place in digits[1:]:
+        value *= 10
+        value += place
+    return value, ok
 
 
-def _half_columns(columns: list, failed: int, rows: slice) -> tuple[list | None, int | None]:
-    """The ``rows`` of a piece whose field at ``failed`` failed its range,
-    checked as :func:`_block_columns` checks a block, from the piece's own
-    columns: no line is split or field converted twice."""
-    half = [column[rows] for column in columns]
-    try:
-        return half, _check_columns(half, failed)
-    except ValueError:
-        return None, None
+def _regular(block: np.ndarray, starts: np.ndarray, ends: np.ndarray, limit: int) -> tuple:
+    """The regular lines of a block: lines of exactly eight fields, none
+    longer than ``limit`` bytes, whose integer fields are 1 to 18 ASCII
+    digits within the line rules' ranges and whose protocol is exactly tcp
+    or udp.  Returns their positions in the block, the values of their
+    integer fields (one row per field of ``_INT_FIELDS``), their protocol
+    codes, and the start and length of their source hosts, then of their
+    destination hosts."""
+    commas = np.flatnonzero(block == 44).astype(starts.dtype)
+    before = np.searchsorted(commas, ends)
+    lines = np.flatnonzero(np.diff(before, prepend=0) == 7)
+    # One row per field, one column per line.
+    cuts = commas[np.arange(-7, 0)[:, None] + before[lines]]
+    start = np.vstack((starts[lines], cuts + 1))
+    length = np.vstack((cuts, ends[lines])) - start
+    ok = (length <= limit).all(axis=0)
+    values = []
+    for k in _INT_FIELDS:
+        value, digits = _integers(block, start[k], length[k])
+        values.append(value)
+        ok &= digits
+    _, src_port, dst_port, _, packets = values
+    ok &= (src_port <= 65535) & (dst_port <= 65535) & (packets >= 1)
+    proto = np.take(block, np.arange(3, dtype=start.dtype)[:, None] + start[5], mode="clip")
+    udp = (proto == _UDP[:, None]).all(axis=0)
+    ok &= (length[5] == 3) & (udp | (proto == _TCP[:, None]).all(axis=0))
+    hosts = start[[1, 3]][:, ok].ravel(), length[[1, 3]][:, ok].ravel()
+    return lines[ok], np.array(values)[:, ok], udp[ok].astype(np.int64), hosts
 
 
-def _pieces(block: list[str], line_no: int, tried: tuple, limit: int,
-            halve: bool = True) -> Iterator:
-    """``block``, its first line ``line_no``, as (lines, first line,
-    columns) pieces in line order.  ``tried`` is what :func:`_block_columns`
-    gave the block: when its columns are not the records, its halves are
-    tried, unless ``halve`` is false, from the block's columns when a range
-    failed and by splitting their lines otherwise.  A failed piece of at
-    most ``_PIECE_LINES`` lines is one piece with no columns, to be read
-    line by line; a larger one whose halves are not tried or both fail is
-    two such pieces, its halves (its bad lines are dense, and smaller
-    pieces would only fail again)."""
-    columns, failed = tried
-    if columns is not None and failed is None:
-        yield block, line_no, columns
-        return
-    if len(block) <= _PIECE_LINES:
-        yield block, line_no, None
-        return
-    half = len(block) // 2
-    halves = ((block[:half], line_no), (block[half:], line_no + half))
-    if not halve:
-        attempts = [(None, None)] * 2
-    elif columns is None:
-        attempts = [_block_columns(piece, limit) for piece, _ in halves]
-    else:
-        attempts = [_half_columns(columns, failed, rows) for rows in (slice(half), slice(half, None))]
-    if all(c is None or f is not None for c, f in attempts):
-        for piece, start in halves:
-            yield piece, start, None
-        return
-    for (piece, start), attempt in zip(halves, attempts):
-        yield from _pieces(piece, start, attempt, limit)
+def _host_codes(block: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple:
+    """Codes for the byte strings ``block[start:start + length]``, equal for
+    equal strings, and the position of each code's first string.  The
+    strings are packed into zero-padded 8-byte words (no host holds a NUL)
+    and coded by ``np.unique``; strings too long to pack, or whose mixed
+    words collide, are coded by a dict."""
+    width = -(-int(length.max(initial=0)) // 8)
+    if 0 < 8 * width * len(start) <= _HOST_BYTES:
+        cells = np.arange(8 * width, dtype=start.dtype)[:, None]
+        packed = np.take(block, cells + start, mode="clip")
+        packed *= cells < length
+        words = np.ascontiguousarray(packed.T).view(np.uint64)
+        key = words[:, 0]
+        for k in range(1, width):
+            key = key * _MIX + words[:, k]
+        distinct, inverse = np.unique(key, return_inverse=True)
+        first = _first_of(inverse, len(distinct))
+        if width == 1 or np.array_equal(words[first][inverse], words):
+            return inverse, first
+    seen: dict[bytes, int] = {}
+    ends = (start + length).tolist()
+    inverse = np.fromiter((seen.setdefault(block[a:b].tobytes(), len(seen))
+                           for a, b in zip(start.tolist(), ends)),
+                          dtype=np.intp, count=len(start))
+    return inverse, _first_of(inverse, len(seen))
 
 
 def parse_flows(
@@ -301,38 +392,28 @@ def parse_flows(
     a list is supplied.  A field longer than :func:`csv.field_size_limit` is
     a bad line.
 
-    The text is read in blocks of ``_BLOCK_LINES`` lines.  A block whose
-    lines all have eight fields is split and converted column by column, and
-    each column's extremes are checked as soon as it is converted; any
-    other block, or one that fails a check, is tried again in halves.  The
-    halves of a block that failed a range are cut from its split and
-    converted columns.  A piece of at most ``_PIECE_LINES``
-    lines that fails, or one whose halves both fail, is read line by line
-    with :func:`csv.reader`.  Pieces are kept in line order, so a bad line
-    is met in file order.  A failed block is not tried in halves when the
-    last block that had bad or blank lines had them in both halves: where
-    bad lines are that dense, both halves would fail as well.  A text
-    holding a quote, a carriage return or a NUL is read line by line
-    throughout.  Equal host and protocol strings are held once.  The log's
-    :class:`ChannelIndex` is built from the columns, once.
+    The text's UTF-8 bytes (``surrogatepass``) are read with numpy, in
+    blocks of ``_BLOCK_LINES`` lines: one search finds a block's newlines,
+    and one its commas.  A *regular* line has exactly eight fields, none
+    longer than the field size limit; its five integer fields are 1 to 18
+    ASCII digits within their ranges, and its protocol is exactly tcp or
+    udp.  The integers of regular lines are read column by column from
+    their digits, and their hosts are coded with ``np.unique``, each
+    distinct host decoded once.  Every other line (a blank line, a wrong
+    field count, a sign, a space, a non-ASCII digit, 19 or more digits, a
+    value out of range) is read alone, in line order, by
+    :func:`csv.reader` and the line rules, so it keeps its record or its
+    number and reason.  A text holding a quote, a carriage return or a NUL
+    is read by :func:`csv.reader` throughout.  Equal host and protocol
+    strings are held once.  The log's :class:`ChannelIndex` is built once,
+    from the strings' integer codes.
     """
     if isinstance(source, str):
         text = source if "\n" in source else read_text(source)
     else:
         text = source.read()
 
-    records: list[FlowRecord] = []
-    columns: list[list] = [[] for _ in range(6)]
-    strings: dict[str, str] = {}
-
-    def keep(parsed: Sequence) -> None:
-        ts_us, src, src_port, dst, dst_port, proto, nbytes, packets = parsed
-        src, dst, proto = (list(map(strings.setdefault, c, c)) for c in (src, dst, proto))
-        rows = zip(ts_us, src, src_port, dst, dst_port, proto, nbytes, packets)
-        records.extend(map(tuple.__new__, repeat(FlowRecord), rows))
-        for column, values in zip(columns, (ts_us, src, src_port, dst, dst_port, proto)):
-            column.extend(values)
-
+    parse = _Parse(strict, malformed)
     if any(c in text for c in _CSV_ONLY):
         reader = csv.reader(io.StringIO(text))
         try:
@@ -340,31 +421,17 @@ def parse_flows(
         except csv.Error:
             header = []
         _check_header(",".join(header))
-        keep(_transposed(_check_rows(reader, 2, strict, malformed)))
+        parse.parts.append(parse.checked(reader, 2))
     else:
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        _check_header(lines[0] if lines else "")
+        _check_header(text.partition("\n")[0])
+        data = text.encode("utf-8", "surrogatepass")
         limit = csv.field_size_limit()
-        dense = False
-        for start in range(1, len(lines), _BLOCK_LINES):
-            block = lines[start : start + _BLOCK_LINES]
-            pieces = _pieces(block, start + 1, _block_columns(block, limit), limit, not dense)
-            # Which halves of the block held a line that gave no record.
-            irregular = set()
-            for piece, line_no, parsed in pieces:
-                if parsed is None:
-                    rows = _check_rows(csv.reader(piece), line_no, strict, malformed)
-                    if len(rows) < len(piece):
-                        irregular.add(line_no - start - 1 >= len(block) // 2)
-                    parsed = _transposed(rows)
-                keep(parsed)
-            if irregular:
-                dense = len(irregular) == 2
-    log = tuple.__new__(FlowLog, records)
-    log.by_channel = ChannelIndex(*columns)
-    return log
+        line_no = 2
+        for offset, block, starts, ends in _blocks(np.frombuffer(data, dtype=np.uint8),
+                                                   data.find(b"\n") + 1 or len(data)):
+            parse.block(data, offset, block, starts, ends, line_no, limit)
+            line_no += len(ends)
+    return parse.log()
 
 
 def serialize_flows(records: Iterable[FlowRecord]) -> str:
@@ -391,11 +458,6 @@ def service_side(record: FlowRecord) -> tuple[str, ServiceKey, bool]:
     return dst_host, ServiceKey(src_host, src_port, proto), ambiguous
 
 
-def identify_services(records: Iterable[FlowRecord]) -> set[ServiceKey]:
-    """Distinct service endpoints observed across ``records``."""
-    return {service_side(r)[1] for r in records}
-
-
 def channel_of(record: FlowRecord) -> Channel:
     client, service, _ = service_side(record)
     return Channel(client, service)
@@ -411,38 +473,75 @@ class ChannelIndex:
     ``ts_by_row[bounds[k]:bounds[k + 1]]``.  Nothing here depends on a bin
     width or window.
 
-    Built from the records' first six columns; :func:`channel_index` gives
-    the index of any iterable of records.
+    Built from the records' first six columns: ``ChannelIndex(*columns)``
+    codes their strings and calls :meth:`from_codes`, which
+    :func:`parse_flows` calls with the codes it read.
+    :func:`channel_index` gives the index of any iterable of records.
     """
 
     def __init__(self, ts_us, src_host, src_port, dst_host, dst_port, proto):
+        names = list(dict.fromkeys(chain(proto, src_host, dst_host)))
+        code = {name: k for k, name in enumerate(names)}.__getitem__
+
+        def codes(column: Sequence[str]) -> np.ndarray:
+            return np.fromiter(map(code, column), dtype=np.intp, count=len(column))
+
+        self._build(np.array(ts_us, dtype=np.int64), codes(src_host),
+                    np.array(src_port, dtype=np.int64), codes(dst_host),
+                    np.array(dst_port, dtype=np.int64), codes(proto), names)
+
+    @classmethod
+    def from_codes(cls, ts_us, src_host, src_port, dst_host, dst_port, proto,
+                   names: Sequence[str]) -> ChannelIndex:
+        """The index of records whose six columns are integer arrays, with
+        each host and protocol given as its position in ``names``."""
+        index = cls.__new__(cls)
+        index._build(ts_us, src_host, src_port, dst_host, dst_port, proto, names)
+        return index
+
+    def _build(self, ts_us, src_host, src_port, dst_host, dst_port, proto, names) -> None:
         # The service side is the endpoint with the lower port; the
         # destination wins ties (service_side, column by column).
-        src_port = np.array(src_port, dtype=np.int64)
-        dst_port = np.array(dst_port, dtype=np.int64)
         served = dst_port <= src_port
-        src_host = np.array(src_host, dtype=object)
-        dst_host = np.array(dst_host, dtype=object)
-        keys = zip(
-            np.where(served, src_host, dst_host).tolist(),
-            np.where(served, dst_host, src_host).tolist(),
-            np.where(served, dst_port, src_port).tolist(),
-            proto,
-        )
-        # Each record's key maps to the position of the key's first record,
-        # so numbering the distinct positions in order numbers the rows in
-        # order of first appearance.
-        rows: dict[tuple[str, str, int, str], int] = {}
-        first = np.fromiter(map(rows.setdefault, keys, count()), dtype=np.intp, count=len(ts_us))
+        client = np.where(served, src_host, dst_host)
+        host = np.where(served, dst_host, src_host)
+        port = np.where(served, dst_port, src_port)
+        # One integer key per (client, host, port, proto): the port and the
+        # protocol are appended in turn as digits of their own radix, the
+        # key so far first made dense where the digit would overflow it.
+        key = client.astype(np.int64) * len(names) + host
+        for digit in (port, proto) if len(key) else ():
+            low, high = int(digit.min()), int(digit.max())
+            if high - low >= 2**31:  # ports of hand-built records only
+                digit, low = np.unique(digit, return_inverse=True)[1], 0
+                high = int(digit.max())
+            radix = high - low + 1
+            if int(key.max()) >= 2**63 // radix - 1:
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * radix + (digit - low)
+        distinct, inverse = np.unique(key, return_inverse=True)
+        # Rows are numbered in order of their first record.
+        first = _first_of(inverse, len(distinct))
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        first = first[order]
         self.channels = [
-            Channel(client, ServiceKey(host, port, proto)) for client, host, port, proto in rows
+            Channel(names[c], ServiceKey(names[h], p, names[q]))
+            for c, h, p, q in zip(*(column[first].tolist() for column in (client, host, port, proto)))
         ]
         self.row_of = {ch: k for k, ch in enumerate(self.channels)}
-        self.row = np.unique(first, return_inverse=True)[1]
-        self.ts_us = np.array(ts_us, dtype=np.int64)
-        self.ts_by_row = self.ts_us[np.lexsort((self.ts_us, self.row))]
+        self.row = rank[inverse]
+        self.ts_us = ts_us
+        # By time, then stably by row: a row number that fits in 16 bits
+        # sorts by radix.
+        order = np.argsort(ts_us, kind="stable")
+        by_row = self.row[order]
+        if len(self.channels) <= 2**15:
+            by_row = by_row.astype(np.int16)
+        self.ts_by_row = ts_us[order[np.argsort(by_row, kind="stable")]]
         self.bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.row, minlength=len(rows))))
+            ([0], np.cumsum(np.bincount(self.row, minlength=len(self.channels))))
         )
 
 

@@ -27,7 +27,6 @@ from miakit.flows import (
     bin_activity,
     channel_index,
     channel_of,
-    identify_services,
     parse_flows,
     parse_service,
     serialize_flows,
@@ -223,7 +222,10 @@ class TestServiceIdentification:
         ]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert identify_services(records) == identify_services(shuffled)
+        sides = {r: service_side(r) for r in records}
+        assert [service_side(r) for r in shuffled] == [sides[r] for r in shuffled]
+        assert {svc for _, svc, _ in map(service_side, shuffled)} == \
+            {svc for _, svc, _ in sides.values()}
 
     def test_synthetic_corpus_ground_truth(self):
         # Generator clients use ephemeral ports, so every flow's service side
@@ -237,7 +239,7 @@ class TestServiceIdentification:
         }
         records, truth = gen_flows(topology, seed=3)
         expected = {parse_service(d["service"]) for d in truth["direct"]}
-        assert identify_services(records) == expected
+        assert {service_side(r)[1] for r in records} == expected
         for r in records:
             client, svc, ambiguous = service_side(r)
             assert not ambiguous
@@ -567,12 +569,10 @@ class TestBlockParsing:
                 assert held.setdefault(s, s) is s
 
     @given(text=flow_text(), strict=st.booleans(),
-           block=st.sampled_from([1, 3, flows._BLOCK_LINES]),
-           piece=st.sampled_from([1, 2, flows._PIECE_LINES]))
+           block=st.sampled_from([1, 3, flows._BLOCK_LINES]))
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_line_loop(self, text, strict, block, piece):
-        with mock.patch.object(flows, "_BLOCK_LINES", block), \
-                mock.patch.object(flows, "_PIECE_LINES", piece):
+    def test_matches_the_line_loop(self, text, strict, block):
+        with mock.patch.object(flows, "_BLOCK_LINES", block):
             self.check(text, strict)
 
     # The edited line is the first, either side of the first block boundary,
@@ -591,111 +591,112 @@ class TestBlockParsing:
         for strict in (True, False):
             self.check("\n".join([FLOW_HEADER] + lines) + "\n", strict)
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_a_bad_line_sends_only_its_piece_through_the_line_loop(self, monkeypatch, strict):
-        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(2_048)]
-        lines[700] = "700,c0,50000,s0,443,icmp,10,1"
-        read = []
+    def line_loop_calls(self, monkeypatch, text, strict):
+        """The (line_no, rows read) of each call parse_flows makes to the
+        line loop, and the outcome of the parse."""
+        calls = []
         real = flows._check_rows
 
         def spy(rows, line_no, strict, malformed):
-            rows = list(rows)
-            read.append((line_no, len(rows)))
-            return real(iter(rows), line_no, strict, malformed)
+            read = []
+            calls.append((line_no, read))
+            return real((read.append(row) or row for row in rows), line_no, strict, malformed)
 
         monkeypatch.setattr(flows, "_check_rows", spy)
-        text = "\n".join([FLOW_HEADER] + lines) + "\n"
-        self.check(text, strict)
-        # Line 702 of the file: the header, then lines[0] as line 2.
-        assert read and all(line_no <= 702 < line_no + n <= line_no + flows._PIECE_LINES
-                            for line_no, n in read)
+        return calls, parse_outcome(parse_flows, text, strict)
 
     # One block per letter: "d" has a bad line every ten lines, "o" one bad
-    # line, "c" none.  A block after a "d" block is read line by line
-    # without trying its halves, until a block's bad lines sit in one half.
-    @pytest.mark.parametrize("layout,halved", [
-        ("dddd", [True, False, False, False]),
-        ("oooo", [True, True, True, True]),
-        ("doo", [True, False, True]),
-        ("dco", [True, None, False]),
-    ])
-    def test_dense_bad_lines_stop_the_halving(self, monkeypatch, layout, halved):
+    # line, "c" none; "r" has a port out of range and a line that only
+    # int() reads ("+5" as a port), whose record is kept.
+    @pytest.mark.parametrize("layout", ["dddd", "oooo", "doo", "dco", "rc"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_only_irregular_lines_go_through_the_line_loop(self, monkeypatch, layout, strict):
         size = flows._BLOCK_LINES
         lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1"
                  for k in range(size * len(layout))]
+        irregular = []
         for b, kind in enumerate(layout):
-            bad = {"d": range(5, size, 10), "o": [size // 3], "c": []}[kind]
+            bad = {"d": range(5, size, 10), "o": [size // 3], "c": [], "r": [7, size - 1]}[kind]
             for i in bad:
-                lines[b * size + i] += ",9"
-        text = "\n".join([FLOW_HEADER] + lines) + "\n"
-        self.check(text, False)
-        tried = []
-        real = flows._block_columns
-
-        def spy(block, limit):
-            tried.append(len(block))
-            return real(block, limit)
-
-        monkeypatch.setattr(flows, "_block_columns", spy)
-        parse_flows(text, strict=False)
-        # The pieces tried after each whole block, by block.
-        per_block = []
-        for n in tried:
-            if n == size:
-                per_block.append([])
-            else:
-                per_block[-1].append(n)
-        assert len(per_block) == len(layout)
-        assert [bool(p) if kind != "c" else None for kind, p in zip(layout, per_block)] == halved
-
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_a_range_failure_halves_the_converted_columns(self, monkeypatch, strict):
-        """A block whose bad line holds a value out of range is split once
-        and each of its fields converted once: its halves are cut from its
-        columns, and only the piece that holds the bad line is read line by
-        line."""
-        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(2_048)]
-        lines[700] = "700,c0,70000,s0,443,tcp,10,1"
+                k = b * size + i
+                lines[k] = lines[k].replace(",443,", ",+5," if i == 7 else ",70000,") \
+                    if kind == "r" else lines[k] + ",9"
+                irregular.append(k + 2)
         text = "\n".join([FLOW_HEADER] + lines) + "\n"
         self.check(text, strict)
-        split, checked, read = [], [], []
-        spies = {
-            "_block_columns": lambda real: lambda block, limit: split.append(len(block))
-            or real(block, limit),
-            "_check_columns": lambda real: lambda columns, failed=None: checked.append(
-                (len(columns[0]), failed)) or real(columns, failed),
-            "_check_rows": lambda real: lambda rows, line_no, strict, malformed: read.append(
-                line_no) or real(rows, line_no, strict, malformed),
-        }
-        for name, spy in spies.items():
-            monkeypatch.setattr(flows, name, spy(getattr(flows, name)))
-        parse_outcome(parse_flows, text, strict)
-        size = flows._BLOCK_LINES
-        # A strict parse stops at the bad line, in the first block.
-        blocks = 1 if strict else 2
-        assert split == [size] * blocks
-        # The failed block converted src_port (field position 1) and
-        # stopped; each piece cut from it starts from that converted column.
-        assert checked[0] == (size, None)
-        later = checked[1:]
-        if not strict:
-            assert later.pop() == (size, None)
-        # Two halves at each of six levels, from 512 lines down to 16.
-        assert [failed for _, failed in later] == [1] * 12
-        assert len(read) == 1 and read[0] <= 702 < read[0] + flows._PIECE_LINES
+        calls, outcome = self.line_loop_calls(monkeypatch, text, strict)
+        if strict:
+            # A strict parse stops at the first bad line.
+            irregular = irregular[: irregular.index(outcome[1]) + 1]
+        assert [(line_no, [lines[line_no - 2].split(",")]) for line_no in irregular] == calls
 
-    def test_a_block_stops_at_its_first_bad_column(self, monkeypatch):
-        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1"
-                 for k in range(flows._BLOCK_LINES)]
-        lines[300] = "-1,c0,50000,s0,443,tcp,10,1"
+    def test_irregular_lines_of_every_kind_go_alone(self, monkeypatch):
+        edits = ["", "1,a,2,b,443,tcp,10", ",,,,,,,", " 1,a,2,b,443,tcp,10,1",
+                 "1,a,-2,b,443,tcp,10,1", "1,a,2,b,1_0,tcp,10,1", "١,a,2,b,443,tcp,10,1",
+                 f"{'9' * 19},a,2,b,443,tcp,10,1", "1,a,2,b,443,tcp,10," + "0" * 18 + "7",
+                 "1,a,2,b,443,TCP,10,1", "1,a,2,b,443,tcp,10,0", f"1,{'h' * 41},2,b,443,tcp,10,1"]
+        lines = [f"{k},c{k % 7},{50000 + k % 9},s{k % 3},443,tcp,10,1" for k in range(60)]
+        for k, edit in enumerate(edits):
+            lines[5 * k + 1] = edit
         text = "\n".join([FLOW_HEADER] + lines) + "\n"
         self.check(text, False)
-        ranged = []
-        real = flows._in_range
-        monkeypatch.setattr(flows, "_in_range", lambda k, column: ranged.append(
-            (k, len(column))) or real(k, column))
-        parse_flows(text, strict=False)
-        assert [k for k, n in ranged if n == flows._BLOCK_LINES] == [0]
+        with mock.patch.object(flows, "_BLOCK_LINES", 7):
+            calls, _ = self.line_loop_calls(monkeypatch, text, False)
+        assert [line_no for line_no, _ in calls] == [5 * k + 3 for k in range(len(edits))]
+        # The blank line reads an empty row; the line past the field size
+        # limit reads none.
+        assert [rows for _, rows in calls][0] == [[]]
+        assert [len(rows) for _, rows in calls] == [1] * (len(edits) - 1) + [0]
+
+    # The byte path's own edges: (lines, what follows the last, the lines
+    # that are irregular, as positions in ``lines``).
+    EDGES = {
+        "digits": ([
+            "9" * 18 + ",a,51514,b,443,tcp," + "9" * 18 + "," + "9" * 18,
+            "1" + "0" * 18 + ",a,51514,b,443,tcp,10,1",
+            "0" * 18 + "7,a,51514,b,443,tcp,10,1",
+            "1,a," + "0" * 17 + "7,b,443,tcp,10,1",
+            f"1,a,51514,b,443,tcp,{10**19 + 7},1",
+            f"{2**63},a,51514,b,443,tcp,10,1",
+        ], "\n", [1, 2, 4, 5]),
+        "hosts": ([
+            "1,hôte-1,51514,服务,443,tcp,10,1",
+            "2,服务,443,hôte-1,51514,udp,10,1",
+            "3,h\ud800,51514,服务,443,tcp,10,1",
+            "4,服务,51514,h\ud800,443,tcp,10,1",
+            # Within the limit in characters but not in bytes.
+            "5," + "é" * 40 + ",51514,b,443,tcp,10,1",
+            "6," + "é" * 41 + ",51514,b,443,tcp,10,1",
+            "7,hôte-1,51514," + "é" * 40 + ",443,tcp,10,1",
+            # Line separators to str.splitlines, but not to csv.
+            "8,a\u2028b,51514,c\x85d\x1c,443,tcp,10,1",
+        ], "\n", [4, 5, 6]),
+        # Two 16-byte hosts whose two words mix into one key: the parse
+        # compares their words and codes them apart.
+        "mixed words collide": (["1,btbfmoevqtgxrogd,51514,s,443,tcp,10,1",
+                                 "2,erdvijza2*VGB(*j,51514,s,443,tcp,10,1",
+                                 "3,s,51514,btbfmoevqtgxrogd,443,tcp,10,1"], "\n", []),
+        "no last newline": (["1,a,51514,b,443,tcp,10,1", ",,,,,,,", "2,a,51514,b,443,tcp,10,1"],
+                            "", [1]),
+        "two trailing blank lines": (["1,a,51514,b,443,tcp,10,1", "2,a,51514,b,443,tcp,10,1"],
+                                     "\n\n\n", [2, 3]),
+        "irregular at block ends": ([
+            "0,a,51514,b,443,tcp,10,1", "1,b,51514,a,443,tcp,10,1", "2,a,51514,b,443,tcp,10",
+            "3,a,51514,b,443,tcp,10,1,x", "4,a,51514,b,443,tcp,10,1", "5,a,51514,b,443,udp,10,0",
+            "", "7,a,51514,b,443,udp,10,1", "8,a,51514,b,443,tcp,10,1",
+        ], "\n", [2, 3, 5, 6]),
+    }
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    @pytest.mark.parametrize("block", [1, 3, flows._BLOCK_LINES])
+    def test_the_byte_path_edges(self, monkeypatch, edge, block):
+        lines, end, irregular = self.EDGES[edge]
+        text = "\n".join([FLOW_HEADER] + lines) + end
+        monkeypatch.setattr(flows, "_BLOCK_LINES", block)
+        for strict in (True, False):
+            self.check(text, strict)
+        calls, _ = self.line_loop_calls(monkeypatch, text, False)
+        assert [line_no for line_no, _ in calls] == [k + 2 for k in irregular]
 
     def test_a_parse_leaves_no_reference_cycle(self):
         # Objects in a cycle wait for the cyclic collector: a parse that left
@@ -740,8 +741,8 @@ class TestIndexBuiltAtParse:
         return serialize_flows(gen_flows(self.TOPOLOGY, seed=5)[0])
 
     def test_a_discover_pass_builds_the_index_once(self):
-        init = ChannelIndex.__init__
-        with mock.patch.object(ChannelIndex, "__init__", autospec=True, side_effect=init) as spy:
+        build = ChannelIndex._build
+        with mock.patch.object(ChannelIndex, "_build", autospec=True, side_effect=build) as spy:
             log = parse_flows(self.text())
             direct = direct_dependencies(log)
             window = (min(r.ts_us for r in log), max(r.ts_us for r in log) + 1)
@@ -751,6 +752,20 @@ class TestIndexBuiltAtParse:
             detect_retry_chains(log)
         assert spy.call_count == 1
         assert len(direct) == 8
+
+    @pytest.mark.parametrize("records", [
+        # Ports at both ends of int64: the port column is coded before it
+        # joins the key.
+        [flow(ts_us=k, src=f"c{k % 5}", sport=2**63 - 1, dst=f"s{k % 3}",
+              dport=(-(2**63), 2**63 - 1, 443)[k % 3]) for k in range(30)],
+        # 2**17 strings and service ports 2**31 - 1 apart: the (client,
+        # host) key times the port radix would wrap past int64, where
+        # clients 2**16 apart collide, so it is made dense first.
+        [flow(ts_us=k, src=f"c{k}", sport=2**31, dst="s", dport=0 if k else 2**31 - 1)
+         for k in range(2**17 - 2)],
+    ], ids=["int64 ports", "dense key"])
+    def test_keys_that_would_overflow_int64(self, records):
+        assert_index_matches_oracle(ChannelIndex(*flows._transposed(records)[:6]), records)
 
     @given(records=st.lists(flow_record, max_size=80))
     @settings(max_examples=60, deadline=None)

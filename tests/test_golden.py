@@ -1,9 +1,10 @@
 """Golden replay: event traces, metrics and item records of seeded
 replications are pinned by SHA-256 digest.
 
-Every bundled mission scenario, plus two documents that reach the paths the
-bundled ones leave idle (an aware workforce reworking on the spot, per-item
-deadlines, several roles with more than one person), runs attack and
+Every bundled mission scenario, plus three documents that reach the paths
+the bundled ones leave idle (an aware workforce reworking on the spot,
+per-item deadlines, several roles with more than one person, a deadline
+armed again for an item that a checkpoint reopens), runs attack and
 attack-free replications 0-3 with ``record_trace=True``.  Any change to the
 mission runtime, the event loop or the random streams that shifts a single
 event, draw or float shows up here.  The same replications run without a
@@ -109,6 +110,38 @@ def _workweek() -> dict:
     }
 
 
+def _rearmed() -> dict:
+    """One planner, a short task and a 25 min rework, an item every 10 min
+    on average, a 50 min deadline and checkpoints at 2 h and 5 h; the
+    attack taints every item from a random start in the first 2 h.  The
+    untraced run's deadline chain skips items that finish at once; a
+    checkpoint reopens them before they are due, their reworks queue behind
+    one another, and many are abandoned at a deadline armed again for
+    them."""
+    return {
+        "infrastructure": {
+            "assets": [{"id": "ws-1", "kind": "end_user_node", "subnet": "office"},
+                       {"id": "sys", "kind": "application", "subnet": "office"}],
+            "edges": [],
+            "vulnerabilities": [{"asset": "sys", "exploit": "exp-1"}],
+        },
+        "mission": {
+            "checkpoints": ["2h", "5h"],
+            "arrivals": {"exponential": 600},
+            "personnel": {"planner": 1},
+            "deadline_per_item": 3000,
+            "tasks": [{"id": "draft", "role": "planner", "duration": {"uniform": [30, 90]},
+                       "rework": {"fixed": 1500}, "requires": ["sys"]}],
+        },
+        "attacker": {"target": "sys", "effect": "integrity", "start": {"random": "2h"},
+                     "capabilities": ["exp-1"], "spearphish_success_prob": 1.0,
+                     "spearphish_interval": {"fixed": 60}, "scan_interval": {"fixed": 60},
+                     "proficiency": 1.0, "agility": 1.0},
+        "defender": None,
+        "sim": {"base_seed": SEED, "horizon": "1d"},
+    }
+
+
 def _bundled(name: str):
     return lambda: read_yaml(bundled_path(name))
 
@@ -121,6 +154,7 @@ DOCUMENTS = {
     "timing": _bundled("timing.yaml"),
     "checkpoint_aware": _checkpoint_aware,
     "workweek": _workweek,
+    "rearmed": _rearmed,
 }
 
 
@@ -233,6 +267,17 @@ GOLDEN = {
         "baseline.trace": "1ebc4aedda893d58ae5bb39d189eae758fc8b178ca7b372f6cde223ba6bf07d7",
         "baseline.metrics": "024829728bd17151170462b2a11dc6a0f6c9f9704605d924e5cef8f34b3a1a23",
         "baseline.items": "7a664ff8d6e92d54de1125c729c8aec0bfc4cfcbd7feb7511a7b4f3313d737f3",
+    },
+    # Recorded from the runtime that keeps one deadline in flight and arms a
+    # reopened item's deadline again; a runtime that does not arm it gives
+    # other untraced metrics and items.
+    "rearmed": {
+        "attack.trace": "61c1b16e009b3bc170dbb55e2830a627081f18b5b3bd44958f2638ff2c93d4bd",
+        "attack.metrics": "3de80040533a4cf40c8bf9cacb40f3cec2911e058824e554a94d720c57cbb218",
+        "attack.items": "1ab02f75751a18c681c26dbe0c09b98b29cbcbef1eb7c4449580c53cff7758d2",
+        "baseline.trace": "2ce71ac159ad9bfc0cc8a63b2962108124e4830533389880f7aa7aad0e5ec93f",
+        "baseline.metrics": "0a7ae51278dc3f0c995b48cdb57682d33c33c9842ebf3977e5a1f1c767df7219",
+        "baseline.items": "cbbe236972a62ad22c33d37763dcee1d155f6eb50c1698b68698c761a886d8ff",
     },
     "workweek": {
         "attack.trace": "8978fa563e2f02437838e2cd755738499bdc7f25dadbfdc5d7e93b5d3b24330f",
